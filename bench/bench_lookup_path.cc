@@ -1,6 +1,5 @@
-// bench_lookup_path: the DESIGN.md 5i lookup-path ablation. One ETI is
-// built and persisted once; each variant (scalar | simd | learned)
-// re-opens it and runs
+// bench_lookup_path: the ETI probe-route microbenchmark (DESIGN.md 5i).
+// One ETI is built over the synthetic relation, then
 //
 //   1. the raw probe loop — every [QGram, Coordinate, Column] key a
 //      sample of reference tuples generates, probed through LookupInto;
@@ -8,13 +7,14 @@
 //      reported separately (dense tid-lists are where the SIMD decode
 //      pays);
 //   2. end-to-end FindMatches over a dirty input dataset — per-query
-//      p50/p95 latency;
+//      p50/p95 latency.
 //
-// and cross-checks every variant's matches against the scalar baseline
-// tid-for-tid and bit-for-bit on similarity (the standing byte-identical
-// contract; tools/ci.sh lookupcheck repeats the check through the CLI).
-// Heap allocations per timed probe pass are reported via the global
-// alloc counter: steady-state probe loops must not allocate.
+// The row is labelled with the posting-decode kernel in use
+// (SimdLevelName(DetectSimdLevel())): run once under FM_SIMD_LEVEL=scalar
+// and once with the default to compare the scalar and SIMD kernels. Their
+// match output is byte-identical (tools/ci.sh lookupcheck). Heap
+// allocations per timed probe pass are reported via the global alloc
+// counter: steady-state probe loops must not allocate.
 //
 // Scale knobs: FM_REF_SIZE, FM_NUM_INPUTS (bench_env.h), FM_PASSES.
 
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd_varint.h"
 #include "common/string_util.h"
 #include "eti/signature.h"
 #include "obs/metrics.h"
@@ -55,17 +56,6 @@ double Quantile(std::vector<double> values, double q) {
       static_cast<size_t>(q * static_cast<double>(values.size())));
   return values[idx];
 }
-
-struct VariantReport {
-  double probe_p50_ns = 0.0;   // per probe, all keys
-  double probe_p95_ns = 0.0;
-  double heavy_p50_ns = 0.0;   // per probe, posting-heavy keys
-  double heavy_p95_ns = 0.0;
-  double query_p50_ms = 0.0;
-  double query_p95_ms = 0.0;
-  double allocs_per_pass = 0.0;
-  uint64_t checksum = 0;       // anti-DCE; must agree across variants
-};
 
 /// Times `passes` probe loops over `keys` and returns per-probe seconds
 /// of each pass (after one untimed warmup pass that faults everything
@@ -114,29 +104,23 @@ Status RunBench() {
                                      nullptr));
   const size_t passes = EnvSize("FM_PASSES", 9);
 
-  // Build (and persist) the index once; every variant re-opens it.
-  FuzzyMatchConfig base_config;
-  base_config.eti.signature_size = 3;
-  base_config.eti.index_tokens = true;
-  ApplyHotPathEnvOverrides(&base_config);
-  const std::string strategy = base_config.eti.StrategyName();
-  {
-    auto built = FuzzyMatcher::Build(env.db.get(), "customers", base_config);
-    FM_RETURN_IF_ERROR(built.status());
-  }
+  FuzzyMatchConfig config;
+  config.eti.signature_size = 3;
+  config.eti.index_tokens = true;
+  ApplyHotPathEnvOverrides(&config);
+  FM_ASSIGN_OR_RETURN(auto matcher,
+                      FuzzyMatcher::Build(env.db.get(), "customers", config));
+  const Eti& eti = matcher->eti();
+  const char* level = SimdLevelName(DetectSimdLevel());
 
-  std::printf("bench_lookup_path: |R|=%zu inputs=%zu passes=%zu\n",
-              env.ref_size, inputs.size(), passes);
+  std::printf("bench_lookup_path: |R|=%zu inputs=%zu passes=%zu kernel=%s\n",
+              env.ref_size, inputs.size(), passes, level);
 
   // The probe corpus: every key the first 200 reference tuples generate
   // (the exact keys FindMatches would probe for clean versions of them).
   std::vector<ProbeKey> all_keys;
   std::vector<ProbeKey> heavy_keys;
   {
-    FM_ASSIGN_OR_RETURN(auto probe_matcher,
-                        FuzzyMatcher::Open(env.db.get(), "customers",
-                                           strategy, base_config));
-    const Eti& eti = probe_matcher->eti();
     const Tokenizer tokenizer = eti.MakeTokenizer();
     const MinHasher hasher = eti.MakeHasher();
     Table::Scanner scanner = env.customers->Scan();
@@ -171,99 +155,50 @@ Status RunBench() {
   std::printf("probe corpus: %zu keys (%zu posting-heavy)\n\n",
               all_keys.size(), heavy_keys.size());
 
-  auto& reg = obs::MetricsRegistry::Global();
-  PrintRow({"variant", "probe_p50ns", "probe_p95ns", "heavy_p50ns",
+  uint64_t checksum = 0;  // anti-DCE
+  double allocs_per_pass = 0.0;
+  const std::vector<double> all_pass =
+      TimeProbePasses(eti, all_keys, passes, &checksum, &allocs_per_pass);
+  double heavy_allocs = 0.0;
+  const std::vector<double> heavy_pass =
+      TimeProbePasses(eti, heavy_keys, passes, &checksum, &heavy_allocs);
+
+  std::vector<double> query_s;
+  query_s.reserve(inputs.size());
+  for (const InputTuple& input : inputs) {
+    const double t0 = Now();
+    FM_RETURN_IF_ERROR(matcher->FindMatches(input.dirty).status());
+    query_s.push_back(Now() - t0);
+  }
+
+  const double probe_p50_ns = Quantile(all_pass, 0.50) * 1e9;
+  const double probe_p95_ns = Quantile(all_pass, 0.95) * 1e9;
+  const double heavy_p50_ns = Quantile(heavy_pass, 0.50) * 1e9;
+  const double heavy_p95_ns = Quantile(heavy_pass, 0.95) * 1e9;
+  const double query_p50_ms = Quantile(query_s, 0.50) * 1e3;
+  const double query_p95_ms = Quantile(query_s, 0.95) * 1e3;
+  PrintRow({"kernel", "probe_p50ns", "probe_p95ns", "heavy_p50ns",
             "heavy_p95ns", "query_p50ms", "query_p95ms", "allocs/pass"});
+  PrintRow({level, StringPrintf("%.1f", probe_p50_ns),
+            StringPrintf("%.1f", probe_p95_ns),
+            StringPrintf("%.1f", heavy_p50_ns),
+            StringPrintf("%.1f", heavy_p95_ns),
+            StringPrintf("%.3f", query_p50_ms),
+            StringPrintf("%.3f", query_p95_ms),
+            StringPrintf("%.1f", allocs_per_pass)});
+  std::printf("\nprobe checksum %llu\n",
+              static_cast<unsigned long long>(checksum));
 
-  const LookupPath variants[] = {LookupPath::kScalar, LookupPath::kSimd,
-                                 LookupPath::kLearned};
-  VariantReport reports[3];
-  std::vector<std::vector<Match>> baseline;  // scalar results
-  for (size_t v = 0; v < 3; ++v) {
-    FuzzyMatchConfig config = base_config;
-    config.lookup_path = variants[v];
-    FM_ASSIGN_OR_RETURN(auto matcher,
-                        FuzzyMatcher::Open(env.db.get(), "customers",
-                                           strategy, config));
-    const Eti& eti = matcher->eti();
-    VariantReport& report = reports[v];
-
-    const std::vector<double> all_pass = TimeProbePasses(
-        eti, all_keys, passes, &report.checksum, &report.allocs_per_pass);
-    report.probe_p50_ns = Quantile(all_pass, 0.50) * 1e9;
-    report.probe_p95_ns = Quantile(all_pass, 0.95) * 1e9;
-    double heavy_allocs = 0.0;
-    const std::vector<double> heavy_pass = TimeProbePasses(
-        eti, heavy_keys, passes, &report.checksum, &heavy_allocs);
-    report.heavy_p50_ns = Quantile(heavy_pass, 0.50) * 1e9;
-    report.heavy_p95_ns = Quantile(heavy_pass, 0.95) * 1e9;
-
-    // End-to-end queries, checked against the scalar baseline.
-    std::vector<double> query_s;
-    query_s.reserve(inputs.size());
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      const double t0 = Now();
-      FM_ASSIGN_OR_RETURN(const std::vector<Match> matches,
-                          matcher->FindMatches(inputs[i].dirty));
-      query_s.push_back(Now() - t0);
-      if (v == 0) {
-        baseline.push_back(matches);
-      } else {
-        const std::vector<Match>& expect = baseline[i];
-        if (matches.size() != expect.size()) {
-          return Status::Internal(StringPrintf(
-              "%s diverged from scalar on input %zu: %zu vs %zu matches",
-              LookupPathName(variants[v]), i, matches.size(),
-              expect.size()));
-        }
-        for (size_t m = 0; m < matches.size(); ++m) {
-          if (matches[m].tid != expect[m].tid ||
-              matches[m].similarity != expect[m].similarity) {
-            return Status::Internal(StringPrintf(
-                "%s diverged from scalar on input %zu match %zu",
-                LookupPathName(variants[v]), i, m));
-          }
-        }
-      }
-    }
-    report.query_p50_ms = Quantile(query_s, 0.50) * 1e3;
-    report.query_p95_ms = Quantile(query_s, 0.95) * 1e3;
-
-    const char* name = LookupPathName(variants[v]);
-    PrintRow({name, StringPrintf("%.1f", report.probe_p50_ns),
-              StringPrintf("%.1f", report.probe_p95_ns),
-              StringPrintf("%.1f", report.heavy_p50_ns),
-              StringPrintf("%.1f", report.heavy_p95_ns),
-              StringPrintf("%.3f", report.query_p50_ms),
-              StringPrintf("%.3f", report.query_p95_ms),
-              StringPrintf("%.1f", report.allocs_per_pass)});
-    const std::string prefix = std::string("lookup_path.") + name;
-    reg.GetGauge(prefix + ".probe_p50_ns")->Set(report.probe_p50_ns);
-    reg.GetGauge(prefix + ".probe_p95_ns")->Set(report.probe_p95_ns);
-    reg.GetGauge(prefix + ".heavy_p50_ns")->Set(report.heavy_p50_ns);
-    reg.GetGauge(prefix + ".heavy_p95_ns")->Set(report.heavy_p95_ns);
-    reg.GetGauge(prefix + ".query_p50_ms")->Set(report.query_p50_ms);
-    reg.GetGauge(prefix + ".query_p95_ms")->Set(report.query_p95_ms);
-    reg.GetGauge(prefix + ".allocs_per_pass")->Set(report.allocs_per_pass);
-  }
-
-  if (reports[0].checksum != reports[1].checksum ||
-      reports[0].checksum != reports[2].checksum) {
-    return Status::Internal("probe-loop checksums diverged across variants");
-  }
-
-  const double heavy_reduction =
-      reports[0].heavy_p50_ns > 0.0
-          ? 100.0 * (reports[0].heavy_p50_ns - reports[1].heavy_p50_ns) /
-                reports[0].heavy_p50_ns
-          : 0.0;
-  std::printf(
-      "\nsimd vs scalar: %.1f%% p50 probe reduction on posting-heavy keys\n"
-      "all variants byte-identical on %zu queries (checksum %llu)\n",
-      heavy_reduction, inputs.size(),
-      static_cast<unsigned long long>(reports[0].checksum));
-  reg.GetGauge("lookup_path.simd_vs_scalar_heavy_p50_reduction_pct")
-      ->Set(heavy_reduction);
+  auto& reg = obs::MetricsRegistry::Global();
+  reg.GetGauge("lookup_path.simd_level")
+      ->Set(static_cast<double>(DetectSimdLevel()));
+  reg.GetGauge("lookup_path.probe_p50_ns")->Set(probe_p50_ns);
+  reg.GetGauge("lookup_path.probe_p95_ns")->Set(probe_p95_ns);
+  reg.GetGauge("lookup_path.heavy_p50_ns")->Set(heavy_p50_ns);
+  reg.GetGauge("lookup_path.heavy_p95_ns")->Set(heavy_p95_ns);
+  reg.GetGauge("lookup_path.query_p50_ms")->Set(query_p50_ms);
+  reg.GetGauge("lookup_path.query_p95_ms")->Set(query_p95_ms);
+  reg.GetGauge("lookup_path.allocs_per_pass")->Set(allocs_per_pass);
   DumpMetrics("bench_lookup_path");
   return Status::OK();
 }

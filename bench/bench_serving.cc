@@ -370,8 +370,7 @@ Status RunBench() {
         shard::ShardRouter::Build(env.customers, shard_config,
                                   router_options));
     FM_ASSIGN_OR_RETURN(const auto sharded,
-                        shard::ShardedMatcher::Create(
-                            router.get(), shard::ShardedMatcher::Options{}));
+                        shard::ShardedMatcher::Create(router.get()));
     if (num_shards == 1) {
       const BatchCleaner shard_cleaner(sharded.get(),
                                        BatchCleaner::Options{});

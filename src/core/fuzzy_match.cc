@@ -48,8 +48,6 @@ Result<std::unique_ptr<FuzzyMatcher>> FuzzyMatcher::Assemble(
     FM_RETURN_IF_ERROR(matcher->eti_->AttachAccelerator(
         EtiAccelOptions{matcher->config_.accel_memory_bytes}));
   }
-  FM_RETURN_IF_ERROR(
-      matcher->eti_->SetLookupPath(matcher->config_.lookup_path));
   matcher->weights_ = std::make_unique<IdfWeights>(std::move(built.weights));
   matcher->build_stats_ = built.stats;
   matcher->matcher_ = std::make_unique<EtiMatcher>(
@@ -338,19 +336,15 @@ Result<EtiRebuildStats> FuzzyMatcher::RebuildEti() {
     ++replayed;
   }
 
-  // Re-seed the read accelerators over the shadow rows (still unlocked —
-  // these are full scans). Attached to the shadow handle first so the
-  // final replay pass below keeps them coherent via InvalidateAccel.
+  // Re-seed the read accelerator over the shadow rows (still unlocked —
+  // a full scan). Attached to the shadow handle first so the final
+  // replay pass below keeps it coherent via InvalidateAccel.
   if (config_.accel_memory_bytes > 0) {
     const Status attached = built->eti.AttachAccelerator(
         EtiAccelOptions{config_.accel_memory_bytes});
     if (!attached.ok()) {
       return fail(attached);
     }
-  }
-  const Status path_set = built->eti.SetLookupPath(config_.lookup_path);
-  if (!path_set.ok()) {
-    return fail(path_set);
   }
 
   // Swap window: block new maintenance, drain the side-log tail, install

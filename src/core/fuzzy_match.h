@@ -52,10 +52,6 @@ struct FuzzyMatchConfig {
   /// persisted index at Build/Open time (DESIGN.md 5d); 0 disables it and
   /// every probe takes the B-tree path.
   size_t accel_memory_bytes = 64u << 20;
-  /// Lookup-path ablation variant (DESIGN.md 5i): scalar | simd |
-  /// learned. Match output is byte-identical across variants; they
-  /// differ only in hot-path speed.
-  LookupPath lookup_path = LookupPath::kSimd;
 };
 
 /// What one online ETI rebuild did (see FuzzyMatcher::RebuildEti).
@@ -122,7 +118,7 @@ class FuzzyMatcher : public MatchSource {
   /// Online ETI rebuild/compaction (DESIGN.md 5j): builds a fresh ETI
   /// beside the live one while queries keep being served, captures
   /// maintenance that lands mid-build in a side log, replays it onto the
-  /// shadow index, re-seeds the read accelerators, and atomically swaps
+  /// shadow index, re-seeds the read accelerator, and atomically swaps
   /// the new index in — queries are never drained. Maintenance blocks
   /// during the reference scan and briefly around the swap. The old
   /// index is retired from the catalog (in-flight readers finish on it)
@@ -149,15 +145,6 @@ class FuzzyMatcher : public MatchSource {
   /// the single-database matcher's. Not thread-safe: call before serving
   /// queries.
   void OverrideWeights(IdfWeights weights);
-
-  /// A fresh query engine over this matcher's reference table, ETI and
-  /// weights — its own tuple cache and stats, shared (read-only) index.
-  /// Replica handles of the sharded read fan-out are built from these.
-  /// The matcher must outlive the returned engine.
-  std::unique_ptr<EtiMatcher> NewQueryEngine() const {
-    return std::make_unique<EtiMatcher>(ref_, eti_.get(), weights_.get(),
-                                        config_.matcher);
-  }
 
   const Table& reference() const { return *ref_; }
   const Eti& eti() const { return *eti_; }

@@ -28,9 +28,8 @@ Result<std::vector<Tid>> DecodeTidList(std::string_view blob);
 /// kernel this CPU supports (see common/simd_varint.h).
 Status DecodeTidListInto(std::string_view blob, std::vector<Tid>* out);
 
-/// Same, decoding with an explicit kernel — the ablation hook the
-/// scalar|simd lookup-path flag plugs into, and what the codec tests use
-/// to run every kernel on one machine.
+/// Same, decoding with an explicit kernel — what the codec tests use to
+/// run every kernel on one machine.
 Status DecodeTidListInto(SimdLevel level, std::string_view blob,
                          std::vector<Tid>* out);
 

@@ -272,7 +272,7 @@ Result<std::vector<Match>> EtiMatcher::FindMatchesImpl(
   // fixed depth ahead of the probe being processed. Probes are still
   // *processed* strictly in the weight-sorted order above, so OSC
   // semantics — and match output — are unchanged byte for byte.
-  const bool batched = eti_->accel_probes_active();
+  const bool batched = eti_->accelerator() != nullptr;
   std::vector<uint64_t>& probe_hashes = scr.probe_hashes;
   if (batched) {
     probe_hashes.resize(probes.size());

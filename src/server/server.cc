@@ -635,8 +635,6 @@ std::string MatchServer::HandleStatusz() const {
                           shard.reference().row_count())));
       s.Set("queue_depth", JsonValue::Number(static_cast<double>(
                                sharded_->queue_depth(k))));
-      s.Set("replicas", JsonValue::Number(static_cast<double>(
-                            sharded_->replicas_per_shard())));
       s.Set("queries",
             JsonValue::Number(static_cast<double>(stats.queries)));
       s.Set("candidates",

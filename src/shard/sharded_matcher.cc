@@ -105,18 +105,16 @@ struct ShardedMatcher::Task {
   size_t* remaining = nullptr;
 };
 
-/// Per-shard executor: replica engines + task queue + worker threads.
+/// Per-shard executor: task queue + the one worker thread.
 struct ShardedMatcher::ShardExec {
   size_t index = 0;
-  std::vector<std::unique_ptr<EtiMatcher>> replicas;
-  std::atomic<size_t> next_replica{0};
 
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Task*> queue;
   bool stopping = false;
   std::atomic<size_t> depth{0};  // queued, not yet picked up
-  std::vector<std::thread> workers;
+  std::thread worker;
 
   // This shard's registry slice, resolved once at Create.
   obs::Counter* queries = nullptr;
@@ -125,29 +123,21 @@ struct ShardedMatcher::ShardExec {
   obs::Gauge* queue_depth_gauge = nullptr;
 };
 
-ShardedMatcher::ShardedMatcher(ShardRouter* router, Options options)
-    : router_(router),
-      options_(options),
-      k_(router->shard(0).config().matcher.k) {}
+ShardedMatcher::ShardedMatcher(ShardRouter* router)
+    : router_(router), k_(router->shard(0).config().matcher.k) {}
 
 Result<std::unique_ptr<ShardedMatcher>> ShardedMatcher::Create(
-    ShardRouter* router, Options options) {
+    ShardRouter* router) {
   if (router == nullptr || router->num_shards() < 1) {
     return Status::InvalidArgument("ShardedMatcher needs a built router");
   }
-  if (options.replicas_per_shard < 1) {
-    return Status::InvalidArgument("replicas_per_shard must be >= 1");
-  }
-  auto matcher = std::unique_ptr<ShardedMatcher>(
-      new ShardedMatcher(router, options));
+  auto matcher =
+      std::unique_ptr<ShardedMatcher>(new ShardedMatcher(router));
   auto& reg = obs::MetricsRegistry::Global();
   matcher->execs_.reserve(router->num_shards());
   for (size_t k = 0; k < router->num_shards(); ++k) {
     auto exec = std::make_unique<ShardExec>();
     exec->index = k;
-    for (size_t r = 0; r < options.replicas_per_shard; ++r) {
-      exec->replicas.push_back(router->shard(k).NewQueryEngine());
-    }
     const std::string suffix = "_s" + std::to_string(k);
     exec->queries = reg.GetCounter("shard.queries" + suffix);
     exec->candidates = reg.GetCounter("shard.candidates" + suffix);
@@ -158,10 +148,8 @@ Result<std::unique_ptr<ShardedMatcher>> ShardedMatcher::Create(
   }
   for (auto& exec : matcher->execs_) {
     ShardExec* raw = exec.get();
-    for (size_t r = 0; r < options.replicas_per_shard; ++r) {
-      raw->workers.emplace_back(
-          [m = matcher.get(), raw] { m->WorkerLoop(raw); });
-    }
+    raw->worker =
+        std::thread([m = matcher.get(), raw] { m->WorkerLoop(raw); });
   }
   return matcher;
 }
@@ -175,9 +163,7 @@ ShardedMatcher::~ShardedMatcher() {
     exec->cv.notify_all();
   }
   for (auto& exec : execs_) {
-    for (std::thread& worker : exec->workers) {
-      worker.join();
-    }
+    exec->worker.join();
   }
 }
 
@@ -227,14 +213,8 @@ void ShardedMatcher::WorkerLoop(ShardExec* exec) const {
 }
 
 void ShardedMatcher::RunTask(ShardExec* exec, Task* task) const {
-  // The read fan-out stub: round-robin over this shard's replica
-  // handles. All replicas answer from the same immutable index.
-  const size_t r = exec->next_replica.fetch_add(
-                       1, std::memory_order_relaxed) %
-                   exec->replicas.size();
-  EtiMatcher* engine = exec->replicas[r].get();
   Result<std::vector<Match>> result =
-      engine->FindMatches(*task->input, &task->stats);
+      router_->shard(exec->index).FindMatches(*task->input, &task->stats);
   if (!result.ok()) {
     task->status = result.status();
     return;
@@ -356,28 +336,6 @@ Result<Row> ShardedMatcher::GetReferenceTuple(Tid tid) const {
 
 size_t ShardedMatcher::queue_depth(size_t k) const {
   return execs_[k]->depth.load(std::memory_order_relaxed);
-}
-
-AggregateStats ShardedMatcher::shard_aggregate_stats(size_t k) const {
-  AggregateStats total;
-  for (const auto& replica : execs_[k]->replicas) {
-    const AggregateStats stats = replica->aggregate_stats();
-    total.queries += stats.queries;
-    total.eti_lookups += stats.eti_lookups;
-    total.tids_processed += stats.tids_processed;
-    total.hash_table_size += stats.hash_table_size;
-    total.candidates += stats.candidates;
-    total.ref_tuples_fetched += stats.ref_tuples_fetched;
-    total.tuple_cache_hits += stats.tuple_cache_hits;
-    total.osc_attempted += stats.osc_attempted;
-    total.osc_succeeded += stats.osc_succeeded;
-    total.fetched_when_osc_succeeded += stats.fetched_when_osc_succeeded;
-    total.fetched_when_osc_failed += stats.fetched_when_osc_failed;
-    total.fetched_when_osc_not_attempted +=
-        stats.fetched_when_osc_not_attempted;
-    total.elapsed_seconds += stats.elapsed_seconds;
-  }
-  return total;
 }
 
 }  // namespace shard

@@ -259,7 +259,7 @@ Status BufferPool::CommitWalTxn() {
   // After-images: resident frames carry the latest bytes; stolen pages
   // were flushed to the main file, which therefore does.
   std::vector<std::unique_ptr<char[]>> images;
-  std::vector<std::pair<PageId, char*>> batch;
+  std::vector<std::pair<PageId, const char*>> batch;
   images.reserve(txn_dirtied_.size());
   batch.reserve(txn_dirtied_.size());
   for (const PageId id : txn_dirtied_) {
@@ -281,9 +281,7 @@ Status BufferPool::CommitWalTxn() {
     for (const auto& [id, img] : batch) {
       const auto it = page_to_frame_.find(id);
       if (it != page_to_frame_.end()) {
-        Frame& fr = frames_[it->second];
-        Page(fr.data.get()).set_lsn(Page(img).lsn());
-        fr.txn_dirty = false;
+        frames_[it->second].txn_dirty = false;
       }
     }
   }

@@ -53,10 +53,6 @@ PageId Page::next_page() const { return ReadU32(kNextPageOff); }
 
 void Page::set_next_page(PageId id) { WriteU32(kNextPageOff, id); }
 
-uint32_t Page::lsn() const { return ReadU32(kLsnOff); }
-
-void Page::set_lsn(uint32_t lsn) { WriteU32(kLsnOff, lsn); }
-
 size_t Page::FreeSpace() const {
   const size_t slots_end = SlotDirOff(slot_count());
   const size_t free_end = ReadU16(kFreeEndOff);

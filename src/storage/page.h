@@ -59,13 +59,6 @@ class Page {
   PageId next_page() const;
   void set_next_page(PageId id);
 
-  /// Low 32 bits of the LSN of the last WAL record that logged this page;
-  /// 0 if the page was never committed through the WAL. Observability
-  /// only — recovery redoes full images unconditionally (a torn page can
-  /// carry a fresh LSN over a stale tail).
-  uint32_t lsn() const;
-  void set_lsn(uint32_t lsn);
-
   /// Bytes available for one more record of any size (accounts for the
   /// slot directory entry the insert would add).
   size_t FreeSpace() const;
@@ -126,7 +119,8 @@ class Page {
   static constexpr size_t kSlotCountOff = 2;
   static constexpr size_t kFreeEndOff = 4;   // record data grows down to this
   static constexpr size_t kNextPageOff = 8;
-  static constexpr size_t kLsnOff = 12;  // low 32 bits of the last WAL LSN
+  // Bytes 12..15 are left to the page-type layouts (the B+-tree keeps an
+  // internal node's leftmost child there).
 
   // Slot entry: u16 record offset (0xFFFF = tombstone), u16 record length.
   size_t SlotDirOff(SlotId slot) const {

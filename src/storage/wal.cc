@@ -342,12 +342,10 @@ Status Wal::WaitDurable_(std::unique_lock<std::mutex>& lock, uint64_t lsn,
 }
 
 Result<uint64_t> Wal::CommitPages(
-    const std::vector<std::pair<PageId, char*>>& pages) {
+    const std::vector<std::pair<PageId, const char*>>& pages) {
   std::unique_lock<std::mutex> lock(mu_);
   for (const auto& [page_id, image] : pages) {
-    const uint64_t lsn = next_lsn_++;
-    Page(image).set_lsn(static_cast<uint32_t>(lsn));
-    AppendRecordLocked_(kRecPageImage, lsn, page_id, image);
+    AppendRecordLocked_(kRecPageImage, next_lsn_++, page_id, image);
   }
   const uint64_t commit_lsn = next_lsn_++;
   AppendRecordLocked_(kRecCommit, commit_lsn,
@@ -535,9 +533,9 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& path, uint64_t db_id,
   // Images from a transaction whose commit record is missing are not
   // applied; `pending` is dropped here.
 
-  // Redo the committed after-images (unconditionally — see file comment
-  // in wal.h on why the page-header LSN is not a redo filter), then put
-  // back before-images of steals no committed image supersedes.
+  // Redo the committed after-images (unconditionally — see the file
+  // comment in wal.h), then put back before-images of steals no committed
+  // image supersedes.
   for (const auto& [pid, img] : committed) {
     FM_FAIL_POINT("wal.replay");
     FM_RETURN_IF_ERROR(pager->EnsureCapacity(pid));

@@ -12,9 +12,9 @@
 //
 // Two record flavors beyond commit:
 //  - page image (redo): the after-image of a page dirtied by a committed
-//    maintenance transaction. Applied unconditionally during replay — a
-//    torn page in the main file can carry a fresh header LSN over a stale
-//    tail, so the header LSN is observability, not a redo filter.
+//    maintenance transaction. Applied unconditionally during replay: the
+//    record's LSN orders images within the log, and pages themselves
+//    carry no LSN (a torn page could not be trusted to report one).
 //  - undo image: the before-image of a transaction-dirty page that the
 //    buffer pool must steal (evict to the main file) before its
 //    transaction commits. Replay restores the before-image unless a later
@@ -111,13 +111,12 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Commits one maintenance transaction: stamps a fresh LSN into each
-  /// image's page header, appends the images plus a commit record, and
-  /// blocks until the batch is durable (per the fsync mode). `pages`
-  /// pairs a page id with its mutable kPageSize after-image. Returns the
-  /// commit LSN.
+  /// Commits one maintenance transaction: appends the images plus a
+  /// commit record, each with a fresh LSN, and blocks until the batch is
+  /// durable (per the fsync mode). `pages` pairs a page id with its
+  /// kPageSize after-image, logged byte for byte. Returns the commit LSN.
   Result<uint64_t> CommitPages(
-      const std::vector<std::pair<PageId, char*>>& pages);
+      const std::vector<std::pair<PageId, const char*>>& pages);
 
   /// Appends a before-image record and blocks until it is durable. Must
   /// be called before a transaction-dirty page is written to the main

@@ -473,5 +473,88 @@ TEST_F(WalRecoveryTest, OpenSweepsOrphanSpillFilesAndShadowIndexes) {
   RemoveWithWal(work);
 }
 
+// Durable inserts split B-tree leaves, so their commits log the parent
+// internal nodes too. An internal node keeps its leftmost child pointer
+// in the page header; the commit must log and keep every byte as written,
+// or reads through that pointer fail ("read of unallocated page").
+// Needs no failpoints: the crash image is a copy of the files taken while
+// the database is still open, which a later reopen replays.
+TEST(WalDurableInsertTest, LeafSplitsUnderInternalNodesSurviveReplay) {
+  const std::string live = TempPath("splits");
+  const std::string image = TempPath("splits_image");
+  RemoveWithWal(live);
+  RemoveWithWal(image);
+  FuzzyMatchConfig config = TestConfig();
+  config.matcher.bound_policy = MatcherOptions::BoundPolicy::kConservative;
+
+  // Every original row must still be readable and still match itself.
+  std::map<Tid, Row> originals;
+  const auto audit = [&](const FuzzyMatcher& matcher) {
+    for (const auto& [tid, row] : originals) {
+      auto stored = matcher.GetReferenceTuple(tid);
+      ASSERT_TRUE(stored.ok()) << "tid " << tid << ": " << stored.status();
+      ASSERT_EQ(*stored, row) << "tid " << tid;
+      auto matches = matcher.FindMatches(row);
+      ASSERT_TRUE(matches.ok()) << "tid " << tid << ": " << matches.status();
+      ASSERT_FALSE(matches->empty()) << "tid " << tid;
+      EXPECT_DOUBLE_EQ((*matches)[0].similarity, 1.0) << "tid " << tid;
+    }
+  };
+
+  {
+    DatabaseOptions options;
+    options.path = live;
+    auto db = Database::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto table =
+        (*db)->CreateTable("customers", CustomerGenerator::CustomerSchema());
+    ASSERT_TRUE(table.ok());
+    CustomerGenOptions gen_options;
+    gen_options.num_tuples = 2000;
+    CustomerGenerator gen(gen_options);
+    ASSERT_TRUE(gen.Populate(*table).ok());
+    auto matcher = FuzzyMatcher::Build(db->get(), "customers", config);
+    ASSERT_TRUE(matcher.ok()) << matcher.status();
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    Table::Scanner scanner = (*table)->Scan();
+    Tid tid;
+    Row row;
+    for (;;) {
+      auto more = scanner.Next(&tid, &row);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      originals[tid] = row;
+    }
+
+    // Fresh names and zip codes bring new q-grams: inserts land in the
+    // ETI index and the tid index, splitting leaves under internal nodes.
+    for (int i = 0; i < 150; ++i) {
+      const Row fresh{"splitins" + std::to_string(i) + " holdings",
+                      "newtown" + std::to_string(i), std::string("wa"),
+                      std::to_string(97000 + i)};
+      auto inserted = (*matcher)->InsertReferenceTuple(fresh);
+      ASSERT_TRUE(inserted.ok()) << inserted.status();
+    }
+    audit(**matcher);
+
+    // Crash image: the main file and the log as they stand, unclosed.
+    std::filesystem::copy_file(live, image);
+    std::filesystem::copy_file(live + ".wal", image + ".wal");
+  }
+
+  DatabaseOptions options;
+  options.path = image;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_GT((*db)->replay_stats().commits_applied, 0u);
+  auto matcher = FuzzyMatcher::Open(db->get(), "customers", kStrategy, config);
+  ASSERT_TRUE(matcher.ok()) << matcher.status();
+  audit(**matcher);
+  matcher->reset();
+  db->reset();
+  RemoveWithWal(live);
+  RemoveWithWal(image);
+}
+
 }  // namespace
 }  // namespace fuzzymatch

@@ -125,8 +125,7 @@ TEST(ShardedEquivalenceTest, DefaultConfigIsNeverWorseThanSingleDatabase) {
       options.num_shards = shards;
       auto router = ShardRouter::Build(env->ref, config, options);
       ASSERT_TRUE(router.ok()) << router.status();
-      auto sharded =
-          ShardedMatcher::Create(router->get(), ShardedMatcher::Options{});
+      auto sharded = ShardedMatcher::Create(router->get());
       ASSERT_TRUE(sharded.ok()) << sharded.status();
       if (shards == 1) {
         // One shard is the same engine over the same relation: identical
@@ -140,7 +139,7 @@ TEST(ShardedEquivalenceTest, DefaultConfigIsNeverWorseThanSingleDatabase) {
   }
 }
 
-TEST(ShardedEquivalenceTest, SweepsKValuesPoliciesAndReplicas) {
+TEST(ShardedEquivalenceTest, SweepsKValuesAndPolicies) {
   for (const uint64_t seed : test_support::TestSeeds({31})) {
     SCOPED_TRACE(test_support::SeedTrace(seed));
     auto env = MakeEnv(seed, 900, 50);
@@ -164,10 +163,7 @@ TEST(ShardedEquivalenceTest, SweepsKValuesPoliciesAndReplicas) {
           options.num_shards = 3;
           auto router = ShardRouter::Build(env->ref, config, options);
           ASSERT_TRUE(router.ok()) << router.status();
-          ShardedMatcher::Options matcher_options;
-          matcher_options.replicas_per_shard = 2;  // the read fan-out stub
-          auto sharded =
-              ShardedMatcher::Create(router->get(), matcher_options);
+          auto sharded = ShardedMatcher::Create(router->get());
           ASSERT_TRUE(sharded.ok()) << sharded.status();
           if (policy == MatcherOptions::BoundPolicy::kConservative) {
             ExpectIdentical(**single, **sharded, env->inputs);
@@ -201,8 +197,7 @@ TEST(ShardedEquivalenceTest, CleanBatchRoutesIdentically) {
   options.num_shards = 4;
   auto router = ShardRouter::Build(env->ref, config, options);
   ASSERT_TRUE(router.ok());
-  auto sharded =
-      ShardedMatcher::Create(router->get(), ShardedMatcher::Options{});
+  auto sharded = ShardedMatcher::Create(router->get());
   ASSERT_TRUE(sharded.ok());
 
   const BatchCleaner single_cleaner(single->get(), BatchCleaner::Options{});
@@ -232,8 +227,7 @@ TEST(ShardedEquivalenceTest, PropagatesRequestIdIntoOneSpanTree) {
   options.num_shards = 3;
   auto router = ShardRouter::Build(env->ref, config, options);
   ASSERT_TRUE(router.ok());
-  auto sharded =
-      ShardedMatcher::Create(router->get(), ShardedMatcher::Options{});
+  auto sharded = ShardedMatcher::Create(router->get());
   ASSERT_TRUE(sharded.ok());
 
   obs::TraceRecord record;
@@ -289,8 +283,7 @@ TEST(ShardedEquivalenceTest, AggregatesQueryStatsAcrossShards) {
   options.num_shards = 2;
   auto router = ShardRouter::Build(env->ref, config, options);
   ASSERT_TRUE(router.ok());
-  auto sharded =
-      ShardedMatcher::Create(router->get(), ShardedMatcher::Options{});
+  auto sharded = ShardedMatcher::Create(router->get());
   ASSERT_TRUE(sharded.ok());
 
   QueryStats stats;

@@ -2,6 +2,7 @@
 // invocation must exit non-zero in bounded time with a one-line
 // diagnostic on stderr — never hang, never crash, never start serving.
 // Spawns the real binary (path injected by CMake as FM_SERVER_BINARY).
+// fuzzymatch_cli (FM_CLI_BINARY) shares the unknown-flag contract.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -24,12 +25,11 @@ struct RunResult {
   std::string output;  // stdout + stderr, interleaved
 };
 
-/// Runs the server binary with `flags`, capturing combined output. The
-/// caller's flags must make it exit on its own (startup failures do).
-RunResult RunServer(const std::string& flags) {
+/// Runs `binary` with `flags`, capturing combined output. The caller's
+/// flags must make it exit on its own (startup failures do).
+RunResult RunBinary(const char* binary, const std::string& flags) {
   RunResult result;
-  const std::string cmd =
-      std::string(FM_SERVER_BINARY) + " " + flags + " 2>&1";
+  const std::string cmd = std::string(binary) + " " + flags + " 2>&1";
   FILE* pipe = ::popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   if (pipe == nullptr) return result;
@@ -40,6 +40,10 @@ RunResult RunServer(const std::string& flags) {
   const int status = ::pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+RunResult RunServer(const std::string& flags) {
+  return RunBinary(FM_SERVER_BINARY, flags);
 }
 
 /// A minimal valid reference CSV, enough to get past loading so later
@@ -99,6 +103,33 @@ TEST(ServerStartupTest, OutOfRangeAccelBudgetFails) {
       RunServer("--ref " + csv + " --accel-budget-mb -3 --port 0");
   EXPECT_EQ(run.exit_code, 1);
   ExpectOneLineDiagnostic(run, "accel-budget-mb");
+  std::filesystem::remove(csv);
+}
+
+TEST(ServerStartupTest, RemovedFlagsAreRejected) {
+  // Retired options must fail loudly rather than be silently ignored.
+  const std::string csv = WriteTinyCsv();
+  for (const std::string flag :
+       {"--lookup-path", "--replicas-per-shard", "--no-such-flag"}) {
+    SCOPED_TRACE(flag);
+    const RunResult run =
+        RunServer("--ref " + csv + " " + flag + " 2 --port 0");
+    EXPECT_EQ(run.exit_code, 1);
+    ExpectOneLineDiagnostic(run, ("unknown flag " + flag).c_str());
+  }
+  std::filesystem::remove(csv);
+}
+
+TEST(ServerStartupTest, CliRejectsRemovedFlags) {
+  const std::string csv = WriteTinyCsv();
+  for (const std::string flag : {"--lookup-path", "--replicas-per-shard"}) {
+    SCOPED_TRACE(flag);
+    const RunResult run =
+        RunBinary(FM_CLI_BINARY, "match --ref " + csv + " --input " + csv +
+                                     " --out /dev/null " + flag + " 2");
+    EXPECT_EQ(run.exit_code, 1);
+    ExpectOneLineDiagnostic(run, ("unknown flag " + flag).c_str());
+  }
   std::filesystem::remove(csv);
 }
 

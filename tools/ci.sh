@@ -18,11 +18,12 @@
 #                          # single-engine under the conservative bound
 #                          # policy, sharded test suite under TSan, and a
 #                          # bench_serving shard-scaling metrics archive
-#   tools/ci.sh lookupcheck # lookup-path ablation (DESIGN.md 5i): match
-#                          # output byte-identical across
-#                          # scalar|simd|learned, single-engine and
-#                          # 4-shard; a -DFM_SIMD=OFF build passing
-#                          # tier-1; bench_lookup_path metrics archived
+#   tools/ci.sh lookupcheck # posting-decode kernels (DESIGN.md 5i): match
+#                          # output byte-identical under
+#                          # FM_SIMD_LEVEL=scalar and the default kernel,
+#                          # single-engine and 4-shard; a -DFM_SIMD=OFF
+#                          # build passing tier-1; bench_lookup_path
+#                          # metrics archived per kernel
 #   tools/ci.sh walcheck   # durability (DESIGN.md 5j): kill-loop at every
 #                          # WAL/pager failpoint vs the acknowledged-op
 #                          # oracle, log-format + group-commit unit suite,
@@ -43,7 +44,7 @@ STAGE="${1:-all}"
 # the fault suites (sanitizer builds compile failpoints in, and injected
 # errors are where cleanup paths race). Randomized fault suites honor
 # FM_TEST_SEED, pinned below so sanitizer runs are reproducible.
-SANITIZER_TESTS='ConcurrentMatchTest|BufferPoolConcurrencyTest|ServerTest|IntrospectionTest|TraceConcurrencyTest|MetricsRegistryTest|BTreeStressTest|HeapFileStressTest|FileBackedPipelineTest|BatchCleanerTest|EtiAccelConcurrencyTest|TupleCacheTest|FailpointTest|DifferentialMaintenanceTest|ErrorPropagationTest|BufferPoolPressureTest|ExternalSortTest|EtiBuilderParallelTest|SimdVarintTest|TornPostingsTest|LearnedOffsetsTest'
+SANITIZER_TESTS='ConcurrentMatchTest|BufferPoolConcurrencyTest|ServerTest|IntrospectionTest|TraceConcurrencyTest|MetricsRegistryTest|BTreeStressTest|HeapFileStressTest|FileBackedPipelineTest|BatchCleanerTest|EtiAccelConcurrencyTest|TupleCacheTest|FailpointTest|DifferentialMaintenanceTest|ErrorPropagationTest|BufferPoolPressureTest|ExternalSortTest|EtiBuilderParallelTest|SimdVarintTest|TornPostingsTest'
 
 # The full fault-injection surface: the crash-consistency sweep over every
 # canonical failpoint plus the randomized differential harness.
@@ -68,8 +69,7 @@ run_sanitizer() {  # $1 = thread|address  $2 = build dir
         eti_accel_concurrency_test tuple_cache_test failpoint_test \
         differential_maintenance_test error_propagation_test \
         buffer_pool_pressure_test external_sort_test \
-        eti_builder_parallel_test simd_varint_test torn_postings_test \
-        learned_offsets_test
+        eti_builder_parallel_test simd_varint_test torn_postings_test
   FM_TEST_SEED="${FM_TEST_SEED:-101}" \
     ctest --test-dir "$2" --output-on-failure -j "$JOBS" \
         -R "$SANITIZER_TESTS"
@@ -316,7 +316,7 @@ run_shardcheck() {
         --out "$tmp/out.single.csv" --tokens --bound-policy conservative
   "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
         --out "$tmp/out.sharded.csv" --tokens --bound-policy conservative \
-        --shards 4 --replicas-per-shard 2
+        --shards 4
   cmp "$tmp/out.single.csv" "$tmp/out.sharded.csv"
   echo "[ci] match output byte-identical with 1 engine and 4 shards"
 
@@ -391,15 +391,16 @@ print("[ci] wal metrics archived: bench_results/bench_wal.metrics.json")
 PYEOF
 }
 
-# The lookup path (DESIGN.md 5i) is a pure speed knob: scalar, simd and
-# learned must produce byte-identical match output, single-engine and
-# through the 4-shard scatter/gather tier (conservative bound policy, the
-# configuration where sharded output is byte-exact). A -DFM_SIMD=OFF
-# build then proves the scalar fallback carries tier-1 on its own (the
-# non-x86 configuration), and bench_lookup_path archives the ablation
-# metrics — the probe-loop p50/p95 per variant — under bench_results/.
+# The posting-decode kernel (DESIGN.md 5i) is a pure speed knob: the
+# scalar kernel and the best one the CPU supports must produce
+# byte-identical match output, single-engine and through the 4-shard
+# scatter/gather tier (conservative bound policy, the configuration where
+# sharded output is byte-exact). A -DFM_SIMD=OFF build then proves the
+# scalar fallback carries tier-1 on its own (the non-x86 configuration),
+# and bench_lookup_path archives the probe-loop p50/p95 per kernel under
+# bench_results/.
 run_lookupcheck() {
-  echo "=== [ci] lookupcheck: scalar|simd|learned parity + FM_SIMD=OFF ==="
+  echo "=== [ci] lookupcheck: scalar vs default kernel parity + FM_SIMD=OFF ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   cmake --build build-ci-release -j "$JOBS" --target \
         fuzzymatch_cli bench_lookup_path
@@ -410,18 +411,20 @@ run_lookupcheck() {
   "$cli" gen --out "$tmp/ref.csv" --rows 2000 --seed 42
   "$cli" corrupt --ref "$tmp/ref.csv" --out "$tmp/dirty.csv" --inputs 200
 
-  for path in scalar simd learned; do
-    "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
-          --out "$tmp/out.$path.csv" --tokens --lookup-path "$path"
-    "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
-          --out "$tmp/out.$path.s4.csv" --tokens --lookup-path "$path" \
+  # Runs a command under the scalar kernel or the default one.
+  with_kernel() {  # $1 = scalar|default, then the command
+    if [ "$1" = scalar ]; then FM_SIMD_LEVEL=scalar "${@:2}"; else "${@:2}"; fi
+  }
+  for level in scalar default; do
+    with_kernel "$level" "$cli" match --ref "$tmp/ref.csv" \
+          --input "$tmp/dirty.csv" --out "$tmp/out.$level.csv" --tokens
+    with_kernel "$level" "$cli" match --ref "$tmp/ref.csv" \
+          --input "$tmp/dirty.csv" --out "$tmp/out.$level.s4.csv" --tokens \
           --bound-policy conservative --shards 4
   done
-  cmp "$tmp/out.scalar.csv" "$tmp/out.simd.csv"
-  cmp "$tmp/out.scalar.csv" "$tmp/out.learned.csv"
-  cmp "$tmp/out.scalar.s4.csv" "$tmp/out.simd.s4.csv"
-  cmp "$tmp/out.scalar.s4.csv" "$tmp/out.learned.s4.csv"
-  echo "[ci] match output byte-identical across lookup paths (1 and 4 shards)"
+  cmp "$tmp/out.scalar.csv" "$tmp/out.default.csv"
+  cmp "$tmp/out.scalar.s4.csv" "$tmp/out.default.s4.csv"
+  echo "[ci] match output byte-identical across decode kernels (1 and 4 shards)"
 
   cmake -B build-ci-nosimd -S . -DCMAKE_BUILD_TYPE=Release \
         -DFM_SIMD=OFF > /dev/null
@@ -430,22 +433,23 @@ run_lookupcheck() {
   echo "[ci] -DFM_SIMD=OFF build passed tier-1"
 
   mkdir -p bench_results
-  FM_REF_SIZE=2000 FM_NUM_INPUTS=150 FM_METRICS_DIR=bench_results \
-    build-ci-release/bench/bench_lookup_path
-  python3 - bench_results/bench_lookup_path.metrics.json <<'PYEOF'
+  for level in scalar default; do
+    FM_REF_SIZE=2000 FM_NUM_INPUTS=150 FM_METRICS_DIR=bench_results \
+      with_kernel "$level" build-ci-release/bench/bench_lookup_path
+    mv bench_results/bench_lookup_path.metrics.json \
+       "bench_results/bench_lookup_path.$level.metrics.json"
+    python3 - "bench_results/bench_lookup_path.$level.metrics.json" <<'PYEOF'
 import json, sys
 metrics = json.load(open(sys.argv[1]))
 names = set(metrics["counters"]) | set(metrics["gauges"]) \
         | set(metrics["histograms"])
-for want in ("lookup_path.scalar.probe_p50_ns",
-             "lookup_path.simd.probe_p50_ns",
-             "lookup_path.learned.probe_p50_ns",
-             "lookup_path.simd_vs_scalar_heavy_p50_reduction_pct",
-             "lookup.probes_batched", "lookup.model_hits"):
+for want in ("lookup_path.simd_level", "lookup_path.probe_p50_ns",
+             "lookup_path.heavy_p50_ns", "lookup_path.query_p50_ms",
+             "lookup_path.allocs_per_pass", "lookup.probes_batched"):
     assert want in names, f"lookup metrics archive missing {want}"
-print("[ci] lookup-path metrics archived: "
-      "bench_results/bench_lookup_path.metrics.json")
+print("[ci] lookup metrics archived: " + sys.argv[1])
 PYEOF
+  done
 }
 
 case "$STAGE" in

@@ -26,7 +26,6 @@
 //                          [--threads N] [--build-threads N]
 //                          [--temp-dir DIR] [--metrics [FILE]]
 //                          [--accel-budget-mb MB] [--tuple-cache-mb MB]
-//                          [--lookup-path scalar|simd|learned]
 //                          [--verbose]
 //       Builds an Error Tolerant Index over the reference CSV and batch-
 //       cleans the input CSV. The output repeats each input row and
@@ -36,8 +35,7 @@
 //       and output row order are identical to the serial run.
 //
 //       --shards N serves the batch through the scatter/gather tier
-//       (N per-shard engines, top-K merge) instead of one engine;
-//       --replicas-per-shard R fans shard reads over R replica engines.
+//       (N per-shard engines, top-K merge) instead of one engine.
 //       Under --bound-policy conservative the sharded output is byte-
 //       identical to the single-engine run, which the CI shardcheck
 //       stage verifies with cmp(1).
@@ -57,12 +55,14 @@
 //       for piping into other tooling.
 //
 // CSV convention: first record is the header; empty fields are NULL.
+// A flag the command does not take is an error naming the flag.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "common/csv.h"
@@ -103,6 +103,17 @@ class Args {
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// Fails on the first flag outside `known`; --verbose, which main
+  /// reads, is always known.
+  Status RejectUnknown(const std::set<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (key != "verbose" && known.count(key) == 0) {
+        return Status::InvalidArgument("unknown flag --" + key);
+      }
+    }
+    return Status::OK();
+  }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
     const auto it = values_.find(key);
@@ -179,6 +190,7 @@ Result<Table*> LoadCsvTable(Database* db, const std::string& name,
 }
 
 Status CmdGen(const Args& args) {
+  FM_RETURN_IF_ERROR(args.RejectUnknown({"out", "rows", "seed"}));
   const std::string out_path = args.Get("out", "");
   if (out_path.empty()) {
     return Status::InvalidArgument("gen requires --out");
@@ -203,6 +215,8 @@ Status CmdGen(const Args& args) {
 }
 
 Status CmdCorrupt(const Args& args) {
+  FM_RETURN_IF_ERROR(args.RejectUnknown(
+      {"ref", "out", "inputs", "profile", "seed", "seeds"}));
   const std::string ref_path = args.Get("ref", "");
   const std::string out_path = args.Get("out", "");
   if (ref_path.empty() || out_path.empty()) {
@@ -269,14 +283,10 @@ Status ApplyBoundPolicy(const Args& args, FuzzyMatchConfig* config) {
   return Status::OK();
 }
 
-Status ApplyLookupPath(const Args& args, FuzzyMatchConfig* config) {
-  const std::string name =
-      args.Get("lookup-path", LookupPathName(config->lookup_path));
-  FM_ASSIGN_OR_RETURN(config->lookup_path, ParseLookupPath(name));
-  return Status::OK();
-}
-
 Status CmdBuild(const Args& args) {
+  FM_RETURN_IF_ERROR(args.RejectUnknown(
+      {"ref", "db", "q", "h", "tokens", "build-threads", "temp-dir",
+       "sort-budget-kb", "shards", "bound-policy"}));
   const std::string ref_path = args.Get("ref", "");
   const std::string db_path = args.Get("db", "");
   if (ref_path.empty() || db_path.empty()) {
@@ -356,6 +366,10 @@ Status CmdBuild(const Args& args) {
 }
 
 Status CmdMatch(const Args& args) {
+  FM_RETURN_IF_ERROR(args.RejectUnknown(
+      {"ref", "input", "out", "q", "h", "tokens", "k", "threshold",
+       "load-threshold", "threads", "build-threads", "temp-dir", "metrics",
+       "accel-budget-mb", "tuple-cache-mb", "shards", "bound-policy"}));
   const std::string ref_path = args.Get("ref", "");
   const std::string input_path = args.Get("input", "");
   const std::string out_path = args.Get("out", "");
@@ -392,7 +406,6 @@ Status CmdMatch(const Args& args) {
           static_cast<int64_t>(config.matcher.tuple_cache_bytes >> 20)))
       << 20;
   FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
-  FM_RETURN_IF_ERROR(ApplyLookupPath(args, &config));
 
   // Either one engine over the whole relation, or a scatter/gather tier
   // of per-shard engines behind the same MatchSource interface; the
@@ -408,19 +421,14 @@ Status CmdMatch(const Args& args) {
     router_options.num_shards = shards;
     FM_ASSIGN_OR_RETURN(router,
                         shard::ShardRouter::Build(ref, config, router_options));
-    shard::ShardedMatcher::Options sharded_options;
-    sharded_options.replicas_per_shard = static_cast<size_t>(
-        std::max<int64_t>(1, args.GetInt("replicas-per-shard", 1)));
-    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(
-                                     router.get(), sharded_options));
+    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(router.get()));
     source = sharded.get();
     double build_seconds = 0.0;
     for (size_t k = 0; k < shards; ++k) {
       build_seconds += router->shard(k).build_stats().total_seconds;
     }
-    std::printf("built %zu shard ETIs (%s) in %.2fs, %zu replica(s) each\n",
-                shards, config.eti.StrategyName().c_str(), build_seconds,
-                sharded->replicas_per_shard());
+    std::printf("built %zu shard ETIs (%s) in %.2fs\n", shards,
+                config.eti.StrategyName().c_str(), build_seconds);
   } else {
     FM_ASSIGN_OR_RETURN(matcher,
                         FuzzyMatcher::Build(db.get(), "ref", config));
@@ -560,6 +568,7 @@ void PrintSpanSubtree(const std::vector<server::JsonValue>& spans,
 }
 
 Status CmdTrace(const Args& args) {
+  FM_RETURN_IF_ERROR(args.RejectUnknown({"port", "host", "limit", "json"}));
   if (!args.Has("port")) {
     return Status::InvalidArgument("trace requires --port");
   }
@@ -656,14 +665,14 @@ void PrintUsage() {
       "  build   --ref ref.csv --db store.fmdb\n"
       "          [--q N] [--h N] [--tokens] [--build-threads N]\n"
       "          [--temp-dir DIR] [--sort-budget-kb KB] [--shards N]\n"
+      "          [--bound-policy aggressive|tight|conservative]\n"
       "  match   --ref ref.csv --input dirty.csv --out out.csv\n"
       "          [--q N] [--h N] [--tokens] [--k N] [--threshold C]\n"
       "          [--load-threshold C] [--threads N] [--build-threads N]\n"
       "          [--temp-dir DIR] [--metrics [FILE]]\n"
       "          [--accel-budget-mb MB] [--tuple-cache-mb MB]\n"
-      "          [--shards N] [--replicas-per-shard R]\n"
+      "          [--shards N]\n"
       "          [--bound-policy aggressive|tight|conservative]\n"
-      "          [--lookup-path scalar|simd|learned]\n"
       "          [--verbose]\n"
       "  trace   --port P [--host A] [--limit N] [--json]\n");
 }

@@ -6,7 +6,7 @@
 //                     [--q N] [--h N] [--tokens] [--k N] [--threshold C]
 //                     [--load-threshold C]
 //                     [--accel-budget-mb MB] [--tuple-cache-mb MB]
-//                     [--lookup-path scalar|simd|learned]
+//                     [--shards N]
 //                     [--db PATH] [--wal-fsync always|group|never]
 //                     [--verbose]
 //
@@ -24,6 +24,9 @@
 // restart with the same --db reattaches to the persisted ETI instead of
 // rebuilding it. The default remains an in-memory store.
 //
+// An unknown flag is a startup error naming the flag, so a retired or
+// misspelt option never passes silently.
+//
 // Try it with netcat:
 //
 //   $ fuzzymatch_server --ref ref.csv --port 7878 &
@@ -37,6 +40,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 
 #include <unistd.h>
@@ -78,6 +82,16 @@ class Args {
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// Fails on the first flag outside `known`.
+  Status RejectUnknown(const std::set<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (known.count(key) == 0) {
+        return Status::InvalidArgument("unknown flag --" + key);
+      }
+    }
+    return Status::OK();
+  }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
     const auto it = values_.find(key);
@@ -195,6 +209,12 @@ void HandleStopSignal(int) {
 }
 
 Status Run(const Args& args) {
+  FM_RETURN_IF_ERROR(args.RejectUnknown(
+      {"ref", "port", "host", "workers", "queue", "max-conns",
+       "idle-timeout-ms", "q", "h", "tokens", "k", "threshold",
+       "load-threshold", "build-threads", "accel-budget-mb",
+       "tuple-cache-mb", "shards", "db", "wal-fsync", "slow-trace-ms",
+       "recorder-capacity", "no-trace", "verbose", "help"}));
   const std::string ref_path = args.Get("ref", "");
   if (ref_path.empty()) {
     return Status::InvalidArgument("fuzzymatch_server requires --ref");
@@ -229,10 +249,6 @@ Status Run(const Args& args) {
       const int64_t build_threads,
       GetIntInRange(args, "build-threads", 1, 0, 256));
   config.build_threads = static_cast<int>(build_threads);
-  FM_ASSIGN_OR_RETURN(
-      config.lookup_path,
-      ParseLookupPath(
-          args.Get("lookup-path", LookupPathName(config.lookup_path))));
 
   BatchCleaner::Options clean_options;
   FM_ASSIGN_OR_RETURN(clean_options.load_threshold,
@@ -273,9 +289,6 @@ Status Run(const Args& args) {
 
   FM_ASSIGN_OR_RETURN(
       const int64_t shards, GetIntInRange(args, "shards", 1, 1, 1024));
-  FM_ASSIGN_OR_RETURN(
-      const int64_t replicas,
-      GetIntInRange(args, "replicas-per-shard", 1, 1, 64));
 
   DatabaseOptions db_options;
   db_options.path = args.Get("db", "");
@@ -316,10 +329,7 @@ Status Run(const Args& args) {
     router_options.num_shards = static_cast<size_t>(shards);
     FM_ASSIGN_OR_RETURN(router,
                         shard::ShardRouter::Build(ref, config, router_options));
-    shard::ShardedMatcher::Options sharded_options;
-    sharded_options.replicas_per_shard = static_cast<size_t>(replicas);
-    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(
-                                     router.get(), sharded_options));
+    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(router.get()));
     for (size_t k = 0; k < router->num_shards(); ++k) {
       FM_SLOG(Info, "server.shard_built")
           .Field("shard", static_cast<uint64_t>(k))
@@ -414,8 +424,7 @@ void PrintUsage() {
       "         [--workers N] [--queue N] [--max-conns N]\n"
       "         [--idle-timeout-ms N] [--q N] [--h N] [--tokens] [--k N]\n"
       "         [--threshold C] [--load-threshold C] [--build-threads N]\n"
-      "         [--accel-budget-mb MB] [--tuple-cache-mb MB]\n"
-      "         [--lookup-path scalar|simd|learned]\n"
+      "         [--accel-budget-mb MB] [--tuple-cache-mb MB] [--shards N]\n"
       "         [--db PATH] [--wal-fsync always|group|never]\n"
       "         [--slow-trace-ms N] [--recorder-capacity N] [--no-trace]\n"
       "         [--verbose]\n"
