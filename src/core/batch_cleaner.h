@@ -44,8 +44,7 @@ struct CleanStats {
   double elapsed_seconds = 0.0;
 };
 
-/// Streams dirty tuples through a MatchSource (single-database
-/// FuzzyMatcher or sharded coordinator) and routes the results.
+/// Streams dirty tuples through a FuzzyMatcher and routes the results.
 ///
 /// Thread safety: Clean() and CleanBatch() are safe to call from
 /// concurrent threads (the matcher's query path is concurrent and the
@@ -60,7 +59,7 @@ class BatchCleaner {
   };
 
   /// `matcher` must outlive the cleaner.
-  BatchCleaner(const MatchSource* matcher, Options options);
+  BatchCleaner(const FuzzyMatcher* matcher, Options options);
 
   /// Cleans one tuple.
   Result<CleanResult> Clean(const Row& input) const;
@@ -91,7 +90,7 @@ class BatchCleaner {
   /// returns' Status).
   Result<CleanResult> CleanImpl(const Row& input) const;
 
-  const MatchSource* matcher_;
+  const FuzzyMatcher* matcher_;
   Options options_;
 };
 

@@ -34,6 +34,15 @@ obs::Counter& RebuildSideOpsCounter() {
   return *c;
 }
 
+// Query-time options that would make every query undefined. Checked before
+// any build work starts.
+Status ValidateConfig(const FuzzyMatchConfig& config) {
+  if (config.matcher.k == 0) {
+    return Status::InvalidArgument("matcher.k must be at least 1");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<FuzzyMatcher>> FuzzyMatcher::Assemble(
@@ -59,6 +68,7 @@ Result<std::unique_ptr<FuzzyMatcher>> FuzzyMatcher::Assemble(
 Result<std::unique_ptr<FuzzyMatcher>> FuzzyMatcher::Build(
     Database* db, const std::string& ref_table_name,
     FuzzyMatchConfig config) {
+  FM_RETURN_IF_ERROR(ValidateConfig(config));
   FM_ASSIGN_OR_RETURN(Table * ref, db->GetTable(ref_table_name));
 
   EtiBuilder::Options build_options;
@@ -82,6 +92,7 @@ Result<std::unique_ptr<FuzzyMatcher>> FuzzyMatcher::Build(
 Result<std::unique_ptr<FuzzyMatcher>> FuzzyMatcher::Open(
     Database* db, const std::string& ref_table_name,
     const std::string& strategy_name, FuzzyMatchConfig config) {
+  FM_RETURN_IF_ERROR(ValidateConfig(config));
   FM_ASSIGN_OR_RETURN(Table * ref, db->GetTable(ref_table_name));
   FM_ASSIGN_OR_RETURN(
       BuiltEti built,
@@ -95,12 +106,6 @@ Result<std::unique_ptr<FuzzyMatcher>> FuzzyMatcher::Open(
     const std::string& strategy_name) {
   FuzzyMatchConfig config;
   return Open(db, ref_table_name, strategy_name, std::move(config));
-}
-
-void FuzzyMatcher::OverrideWeights(IdfWeights weights) {
-  weights_ = std::make_unique<IdfWeights>(std::move(weights));
-  matcher_ = std::make_unique<EtiMatcher>(ref_, eti_.get(), weights_.get(),
-                                          config_.matcher);
 }
 
 std::string FuzzyMatcher::EtiName() const {

@@ -23,7 +23,6 @@
 #include "common/result.h"
 #include "eti/eti_builder.h"
 #include "match/eti_matcher.h"
-#include "match/match_source.h"
 #include "match/match_types.h"
 #include "storage/database.h"
 
@@ -72,11 +71,12 @@ struct EtiRebuildStats {
 /// serialize against each other and against RebuildEti internally, but
 /// remain writers: do not run them concurrently with queries. RebuildEti
 /// itself is safe to run while queries are being served.
-class FuzzyMatcher : public MatchSource {
+class FuzzyMatcher {
  public:
   /// Builds the ETI and weight table for `ref_table_name` inside `db` and
   /// returns a ready matcher. The ETI persists in `db` as a standard
-  /// relation + index named after the table and strategy.
+  /// relation + index named after the table and strategy. A config with
+  /// `matcher.k == 0` is InvalidArgument (here and on Open).
   ///
   /// The config-less overloads (here and on Open) stand in for a
   /// `config = {}` default argument, which GCC 12 -O2 flags with a
@@ -126,25 +126,15 @@ class FuzzyMatcher : public MatchSource {
   Result<EtiRebuildStats> RebuildEti();
 
   /// The K-fuzzy-match operation for one input tuple: at most K reference
-  /// tuples with fms >= c, most similar first.
-  Result<std::vector<Match>> FindMatches(
-      const Row& input, QueryStats* stats = nullptr) const override {
+  /// tuples with fms >= c, most similar first, ties broken by ascending
+  /// tid.
+  Result<std::vector<Match>> FindMatches(const Row& input,
+                                         QueryStats* stats = nullptr) const {
     return matcher_->FindMatches(input, stats);
   }
 
   /// Fetches a matched reference tuple.
-  Result<Row> GetReferenceTuple(Tid tid) const override {
-    return ref_->Get(tid);
-  }
-
-  const Schema& reference_schema() const override { return ref_->schema(); }
-
-  /// Replaces the IDF weight table and rebuilds the query engine around
-  /// it. The sharded tier uses this to install weights computed over the
-  /// FULL reference relation, so per-shard similarities are identical to
-  /// the single-database matcher's. Not thread-safe: call before serving
-  /// queries.
-  void OverrideWeights(IdfWeights weights);
+  Result<Row> GetReferenceTuple(Tid tid) const { return ref_->Get(tid); }
 
   const Table& reference() const { return *ref_; }
   const Eti& eti() const { return *eti_; }
@@ -204,6 +194,10 @@ class FuzzyMatcher : public MatchSource {
   bool rebuild_active_ = false;
   std::vector<SideOp> side_log_;
 };
+
+/// The name benchmark/fmbench.cc serves through; FuzzyMatcher is the only
+/// engine.
+using MatchSource = FuzzyMatcher;
 
 }  // namespace fuzzymatch
 

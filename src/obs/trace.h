@@ -102,16 +102,6 @@ class RequestTrace {
                FlightRecorder* recorder);  // default Limits
   RequestTrace(std::string op, uint64_t request_id,
                FlightRecorder* recorder, Limits limits);
-  /// Tag for the collect-into constructor (keeps it unambiguous with the
-  /// null-recorder form).
-  struct CollectInto {
-    TraceRecord* sink;
-  };
-  /// Collect-into constructor: on destruction the finished record is
-  /// moved into `*into.sink` instead of a recorder. For child traces
-  /// gathered on shard worker threads and merged into the coordinator's
-  /// trace via AdoptChildTrace, so a scattered request stays one tree.
-  RequestTrace(std::string op, uint64_t request_id, CollectInto into);
   ~RequestTrace();
 
   RequestTrace(const RequestTrace&) = delete;
@@ -134,16 +124,6 @@ class RequestTrace {
   /// error outlier for the recorder.
   void SetStatus(const Status& status);
 
-  /// Grafts a finished child trace (collected on another thread via the
-  /// sink constructor) into this trace as a subtree: a synthetic root
-  /// span named `label` at offset `child_start` − this trace's start,
-  /// with the child's spans rebased under it, its counts merged into
-  /// this trace's tallies, and its error status propagated. Spans beyond
-  /// the width bound are counted as dropped. `label` must outlive the
-  /// trace record (string literal or interned).
-  void AdoptChildTrace(const TraceRecord& child, const char* label,
-                       std::chrono::steady_clock::time_point child_start);
-
   uint64_t request_id() const { return record_.request_id; }
   const TraceRecord& record() const { return record_; }
 
@@ -155,7 +135,6 @@ class RequestTrace {
   TraceRecord record_;
   Limits limits_;
   FlightRecorder* recorder_;         // may be null (collect only)
-  TraceRecord* sink_ = nullptr;      // set by the collect-into constructor
   std::chrono::steady_clock::time_point start_;
   std::vector<int32_t> open_stack_;  // indexes of open spans, root first
   RequestTrace* previous_ = nullptr;

@@ -36,6 +36,21 @@ TEST_F(FuzzyMatcherTest, BuildFailsOnMissingTable) {
                   .IsNotFound());
 }
 
+TEST_F(FuzzyMatcherTest, KZeroIsInvalidArgument) {
+  // K = 0 has no K-th score; it must be refused before any query runs.
+  FuzzyMatchConfig config;
+  config.matcher.k = 0;
+  EXPECT_TRUE(FuzzyMatcher::Build(db_.get(), "customers", config)
+                  .status()
+                  .IsInvalidArgument());
+  const FuzzyMatchConfig valid;
+  ASSERT_TRUE(FuzzyMatcher::Build(db_.get(), "customers", valid).ok());
+  EXPECT_TRUE(FuzzyMatcher::Open(db_.get(), "customers",
+                                 valid.eti.StrategyName(), config)
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST_F(FuzzyMatcherTest, BuildAndMatchEndToEnd) {
   FuzzyMatchConfig config;
   config.eti.signature_size = 3;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gen/customer_gen.h"
 #include "storage/database.h"
 
@@ -154,6 +157,55 @@ TEST_F(NaiveMatcherTest, StatsReportFullScan) {
                   .ok());
   EXPECT_EQ(stats.ref_tuples_fetched, 3u);
   EXPECT_GT(stats.elapsed_seconds, 0.0);
+}
+
+// TopKCollector's order is (similarity desc, tid asc) whatever order the
+// scored tuples arrive in; every matcher's output inherits it.
+std::vector<Match> Collect(size_t k, const std::vector<Match>& offers) {
+  TopKCollector collector(k, 0.0);
+  for (const Match& m : offers) collector.Offer(m.tid, m.similarity);
+  return collector.Take();
+}
+
+TEST(TopKCollectorTest, ScoreTiesComeOutByAscendingTid) {
+  std::vector<Match> offers = {{7, 0.75}, {19, 0.75}, {42, 0.75}};
+  do {
+    const std::vector<Match> top = Collect(3, offers);
+    ASSERT_EQ(top.size(), 3u);
+    EXPECT_EQ(top[0].tid, 7u);
+    EXPECT_EQ(top[1].tid, 19u);
+    EXPECT_EQ(top[2].tid, 42u);
+  } while (std::next_permutation(
+      offers.begin(), offers.end(),
+      [](const Match& a, const Match& b) { return a.tid < b.tid; }));
+}
+
+TEST(TopKCollectorTest, TieAtTheKthPlaceKeepsTheSmallerTid) {
+  // 8 and 50 tie at 0.6 for the last slot; either offer order keeps 8.
+  for (const std::vector<Match>& offers :
+       {std::vector<Match>{{100, 0.9}, {50, 0.6}, {8, 0.6}},
+        std::vector<Match>{{8, 0.6}, {100, 0.9}, {50, 0.6}}}) {
+    const std::vector<Match> top = Collect(2, offers);
+    ASSERT_EQ(top.size(), 2u);
+    EXPECT_EQ(top[0], (Match{100, 0.9}));
+    EXPECT_EQ(top[1], (Match{8, 0.6}));
+  }
+}
+
+TEST(TopKCollectorTest, KLargerThanTheOffersReturnsThemAll) {
+  const std::vector<Match> top = Collect(10, {{2, 0.3}, {1, 0.9}});
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0], (Match{1, 0.9}));
+  EXPECT_EQ(top[1], (Match{2, 0.3}));
+}
+
+TEST(TopKCollectorTest, TruncatesToK) {
+  const std::vector<Match> top = Collect(
+      3, {{1, 0.9}, {5, 0.65}, {2, 0.8}, {4, 0.85}, {3, 0.7}});
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0].tid, 1u);
+  EXPECT_EQ(top[1].tid, 4u);
+  EXPECT_EQ(top[2].tid, 2u);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // invocation must exit non-zero in bounded time with a one-line
 // diagnostic on stderr — never hang, never crash, never start serving.
 // Spawns the real binary (path injected by CMake as FM_SERVER_BINARY).
-// fuzzymatch_cli (FM_CLI_BINARY) shares the unknown-flag contract.
+// fuzzymatch_cli (FM_CLI_BINARY) shares the flag parser, so it shares the
+// unknown-flag and malformed-value contract.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -110,7 +112,8 @@ TEST(ServerStartupTest, RemovedFlagsAreRejected) {
   // Retired options must fail loudly rather than be silently ignored.
   const std::string csv = WriteTinyCsv();
   for (const std::string flag :
-       {"--lookup-path", "--replicas-per-shard", "--no-such-flag"}) {
+       {"--lookup-path", "--replicas-per-shard", "--shards",
+        "--no-such-flag"}) {
     SCOPED_TRACE(flag);
     const RunResult run =
         RunServer("--ref " + csv + " " + flag + " 2 --port 0");
@@ -122,7 +125,9 @@ TEST(ServerStartupTest, RemovedFlagsAreRejected) {
 
 TEST(ServerStartupTest, CliRejectsRemovedFlags) {
   const std::string csv = WriteTinyCsv();
-  for (const std::string flag : {"--lookup-path", "--replicas-per-shard"}) {
+  const std::string db = csv + ".fmdb";
+  for (const std::string flag :
+       {"--lookup-path", "--replicas-per-shard", "--shards"}) {
     SCOPED_TRACE(flag);
     const RunResult run =
         RunBinary(FM_CLI_BINARY, "match --ref " + csv + " --input " + csv +
@@ -130,6 +135,39 @@ TEST(ServerStartupTest, CliRejectsRemovedFlags) {
     EXPECT_EQ(run.exit_code, 1);
     ExpectOneLineDiagnostic(run, ("unknown flag " + flag).c_str());
   }
+  const RunResult build = RunBinary(
+      FM_CLI_BINARY, "build --ref " + csv + " --db " + db + " --shards 2");
+  EXPECT_EQ(build.exit_code, 1);
+  ExpectOneLineDiagnostic(build, "unknown flag --shards");
+  EXPECT_FALSE(std::filesystem::exists(db));
+  std::filesystem::remove(csv);
+}
+
+TEST(ServerStartupTest, CliRejectsMalformedNumbers) {
+  // Each value used to be read as 0 (or K = 0, which crashed every query).
+  const std::string csv = WriteTinyCsv();
+  const std::string match = "match --ref " + csv + " --input " + csv +
+                            " --out /dev/null ";
+  for (const auto& [flags, needle] :
+       {std::pair<std::string, std::string>{"--k abc", "--k: 'abc'"},
+        {"--k 0", "--k: 0 out of range"},
+        {"--threshold x", "--threshold: 'x'"}}) {
+    SCOPED_TRACE(flags);
+    const RunResult run = RunBinary(FM_CLI_BINARY, match + flags);
+    EXPECT_EQ(run.exit_code, 1);
+    ExpectOneLineDiagnostic(run, needle.c_str());
+    EXPECT_EQ(run.output.find('\n'), run.output.size() - 1) << run.output;
+  }
+  std::filesystem::remove(csv);
+}
+
+TEST(ServerStartupTest, CliRejectsUnknownProfile) {
+  // An unknown error profile used to fall back to D2 silently.
+  const std::string csv = WriteTinyCsv();
+  const RunResult run = RunBinary(
+      FM_CLI_BINARY, "corrupt --ref " + csv + " --out /dev/null --profile D9");
+  EXPECT_EQ(run.exit_code, 1);
+  ExpectOneLineDiagnostic(run, "--profile must be D1, D2 or D3");
   std::filesystem::remove(csv);
 }
 

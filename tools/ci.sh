@@ -14,16 +14,13 @@
 #                          # sleep, and the tracing-overhead budget
 #   tools/ci.sh buildcheck # parallel ETI build determinism: 1-thread vs
 #                          # 4-thread builds must be byte-identical
-#   tools/ci.sh shardcheck # sharded serving tier: 4-shard match output vs
-#                          # single-engine under the conservative bound
-#                          # policy, sharded test suite under TSan, and a
-#                          # bench_serving shard-scaling metrics archive
 #   tools/ci.sh lookupcheck # posting-decode kernels (DESIGN.md 5i): match
 #                          # output byte-identical under
 #                          # FM_SIMD_LEVEL=scalar and the default kernel,
-#                          # single-engine and 4-shard; a -DFM_SIMD=OFF
-#                          # build passing tier-1; bench_lookup_path
-#                          # metrics archived per kernel
+#                          # under the default and the conservative bound
+#                          # policy; a -DFM_SIMD=OFF build passing
+#                          # tier-1; bench_lookup_path metrics archived
+#                          # per kernel
 #   tools/ci.sh walcheck   # durability (DESIGN.md 5j): kill-loop at every
 #                          # WAL/pager failpoint vs the acknowledged-op
 #                          # oracle, log-format + group-commit unit suite,
@@ -283,72 +280,6 @@ run_buildcheck() {
   fi
 }
 
-# The sharded tier is a pure topology change: scatter/gather over N
-# per-shard ETI engines must answer exactly what one engine over the
-# whole relation answers. Under the conservative bound policy that
-# equivalence is byte-exact (DESIGN.md 5h), so cmp(1) enforces it over
-# a real CLI round trip; the lossy policies only promise never-worse
-# and are covered by the unit suite. The same suite then runs under
-# ThreadSanitizer — the coordinator's worker pool plus per-shard engines
-# is the newest concurrent surface — and bench_serving archives the
-# shard-scaling rows + shard.* metrics for post-hoc comparison.
-run_shardcheck() {
-  echo "=== [ci] shardcheck: scatter/gather equivalence + TSan + metrics ==="
-  cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-  cmake --build build-ci-release -j "$JOBS" --target \
-        fuzzymatch_cli bench_serving
-  local cli=build-ci-release/tools/fuzzymatch_cli
-  local tmp
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' RETURN
-  "$cli" gen --out "$tmp/ref.csv" --rows 2000 --seed 42
-  "$cli" corrupt --ref "$tmp/ref.csv" --out "$tmp/dirty.csv" --inputs 200
-
-  # A 4-shard build must persist one database file per shard.
-  "$cli" build --ref "$tmp/ref.csv" --db "$tmp/store.fmdb" --tokens \
-        --shards 4
-  for k in 0 1 2 3; do
-    test -s "$tmp/store.fmdb.shard$k"
-  done
-  echo "[ci] 4-shard build persisted store.fmdb.shard{0..3}"
-
-  "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
-        --out "$tmp/out.single.csv" --tokens --bound-policy conservative
-  "$cli" match --ref "$tmp/ref.csv" --input "$tmp/dirty.csv" \
-        --out "$tmp/out.sharded.csv" --tokens --bound-policy conservative \
-        --shards 4
-  cmp "$tmp/out.single.csv" "$tmp/out.sharded.csv"
-  echo "[ci] match output byte-identical with 1 engine and 4 shards"
-
-  cmake -B build-ci-shard-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DFM_SANITIZE=thread > /dev/null
-  cmake --build build-ci-shard-tsan -j "$JOBS" --target \
-        topk_merge_test shard_router_test sharded_equivalence_test
-  FM_TEST_SEED="${FM_TEST_SEED:-101}" \
-    ctest --test-dir build-ci-shard-tsan --output-on-failure -j "$JOBS" \
-        -R 'TopKMergeTest|ShardOfTidTest|ShardRouterTest|ShardedEquivalenceTest'
-
-  # Archive the shard-scaling sweep (QPS at 1/2/4/8 shards plus the
-  # shard.* gauge family) next to the other bench artifacts.
-  mkdir -p bench_results
-  FM_REF_SIZE=2000 FM_NUM_INPUTS=150 FM_MAX_WORKERS=2 \
-    FM_METRICS_DIR=bench_results \
-    build-ci-release/bench/bench_serving
-  mv bench_results/bench_serving.metrics.json \
-     bench_results/bench_serving.sharded.metrics.json
-  python3 - bench_results/bench_serving.sharded.metrics.json <<'PYEOF'
-import json, sys
-metrics = json.load(open(sys.argv[1]))
-names = set(metrics["counters"]) | set(metrics["gauges"]) \
-        | set(metrics["histograms"])
-for want in ("bench_serving.sharded_qps_s1", "bench_serving.sharded_qps_s4",
-             "shard.fanout_tasks", "shard.queries_s0", "shard.merge_seconds"):
-    assert want in names, f"sharded metrics archive missing {want}"
-print("[ci] sharded metrics archived: "
-      "bench_results/bench_serving.sharded.metrics.json")
-PYEOF
-}
-
 # The durability contract (DESIGN.md 5j), enforced end to end: the
 # kill-loop arms every WAL and pager failpoint in turn, runs the durable
 # maintenance workload until the simulated power loss fires, reopens, and
@@ -393,9 +324,9 @@ PYEOF
 
 # The posting-decode kernel (DESIGN.md 5i) is a pure speed knob: the
 # scalar kernel and the best one the CPU supports must produce
-# byte-identical match output, single-engine and through the 4-shard
-# scatter/gather tier (conservative bound policy, the configuration where
-# sharded output is byte-exact). A -DFM_SIMD=OFF build then proves the
+# byte-identical match output, under the default bound policy and under
+# the conservative one (which verifies every scored tid, so it decodes
+# and scores far more postings). A -DFM_SIMD=OFF build then proves the
 # scalar fallback carries tier-1 on its own (the non-x86 configuration),
 # and bench_lookup_path archives the probe-loop p50/p95 per kernel under
 # bench_results/.
@@ -419,12 +350,12 @@ run_lookupcheck() {
     with_kernel "$level" "$cli" match --ref "$tmp/ref.csv" \
           --input "$tmp/dirty.csv" --out "$tmp/out.$level.csv" --tokens
     with_kernel "$level" "$cli" match --ref "$tmp/ref.csv" \
-          --input "$tmp/dirty.csv" --out "$tmp/out.$level.s4.csv" --tokens \
-          --bound-policy conservative --shards 4
+          --input "$tmp/dirty.csv" --out "$tmp/out.$level.conservative.csv" \
+          --tokens --bound-policy conservative
   done
   cmp "$tmp/out.scalar.csv" "$tmp/out.default.csv"
-  cmp "$tmp/out.scalar.s4.csv" "$tmp/out.default.s4.csv"
-  echo "[ci] match output byte-identical across decode kernels (1 and 4 shards)"
+  cmp "$tmp/out.scalar.conservative.csv" "$tmp/out.default.conservative.csv"
+  echo "[ci] match output byte-identical across decode kernels (default and conservative policy)"
 
   cmake -B build-ci-nosimd -S . -DCMAKE_BUILD_TYPE=Release \
         -DFM_SIMD=OFF > /dev/null
@@ -460,7 +391,6 @@ case "$STAGE" in
   perfsmoke)  run_perfsmoke ;;
   obscheck)   run_obscheck ;;
   buildcheck) run_buildcheck ;;
-  shardcheck) run_shardcheck ;;
   lookupcheck) run_lookupcheck ;;
   walcheck)   run_walcheck ;;
   all)
@@ -471,12 +401,11 @@ case "$STAGE" in
     run_perfsmoke
     run_obscheck
     run_buildcheck
-    run_shardcheck
     run_lookupcheck
     run_walcheck
     ;;
   *)
-    echo "usage: tools/ci.sh [release|tsan|asan|faultcheck|perfsmoke|obscheck|buildcheck|shardcheck|lookupcheck|walcheck|all]" >&2
+    echo "usage: tools/ci.sh [release|tsan|asan|faultcheck|perfsmoke|obscheck|buildcheck|lookupcheck|walcheck|all]" >&2
     exit 2
     ;;
 esac

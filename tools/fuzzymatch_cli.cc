@@ -12,13 +12,11 @@
 //   fuzzymatch_cli build   --ref ref.csv --db store.fmdb
 //                          [--q N] [--h N] [--tokens]
 //                          [--build-threads N] [--temp-dir DIR]
-//                          [--sort-budget-kb KB] [--shards N]
+//                          [--sort-budget-kb KB]
 //       Loads the reference CSV into a file-backed database, builds the
 //       ETI with the requested parallelism, and checkpoints. The
 //       persisted file is byte-identical for every --build-threads
 //       value, which the CI buildcheck stage verifies with cmp(1).
-//       --shards N instead hash-partitions the relation by tid into N
-//       shard databases at store.fmdb.shard<k>, each with its own ETI.
 //
 //   fuzzymatch_cli match   --ref ref.csv --input dirty.csv --out out.csv
 //                          [--q N] [--h N] [--tokens] [--k N]
@@ -26,6 +24,7 @@
 //                          [--threads N] [--build-threads N]
 //                          [--temp-dir DIR] [--metrics [FILE]]
 //                          [--accel-budget-mb MB] [--tuple-cache-mb MB]
+//                          [--bound-policy aggressive|tight|conservative]
 //                          [--verbose]
 //       Builds an Error Tolerant Index over the reference CSV and batch-
 //       cleans the input CSV. The output repeats each input row and
@@ -33,12 +32,6 @@
 //       the matched reference row. --threads N fans the batch out over N
 //       worker threads on the concurrent query path; routing decisions
 //       and output row order are identical to the serial run.
-//
-//       --shards N serves the batch through the scatter/gather tier
-//       (N per-shard engines, top-K merge) instead of one engine.
-//       Under --bound-policy conservative the sharded output is byte-
-//       identical to the single-engine run, which the CI shardcheck
-//       stage verifies with cmp(1).
 //
 //       --metrics dumps the process-wide metrics registry (buffer-pool
 //       hit rates, pages read, ETI probes, OSC outcomes, per-phase span
@@ -55,19 +48,15 @@
 //       for piping into other tooling.
 //
 // CSV convention: first record is the header; empty fields are NULL.
-// A flag the command does not take is an error naming the flag.
+// A flag the command does not take is an error naming the flag, and a
+// numeric flag whose value does not parse or is out of range is an error
+// naming the value.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
-#include <set>
-#include <sstream>
 
-#include "common/csv.h"
+#include "args.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "core/batch_cleaner.h"
 #include "core/fuzzy_match.h"
 #include "eti/eti_builder.h"
@@ -76,79 +65,10 @@
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/json.h"
-#include "shard/shard_router.h"
-#include "shard/sharded_matcher.h"
 
 using namespace fuzzymatch;
 
 namespace {
-
-/// Tiny --flag[=value] parser: flags with values must use --flag value.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        ordered_.push_back(key);
-        continue;
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  /// Fails on the first flag outside `known`; --verbose, which main
-  /// reads, is always known.
-  Status RejectUnknown(const std::set<std::string>& known) const {
-    for (const auto& [key, value] : values_) {
-      if (key != "verbose" && known.count(key) == 0) {
-        return Status::InvalidArgument("unknown flag --" + key);
-      }
-    }
-    return Status::OK();
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> ordered_;
-};
-
-Row FieldsToRow(const std::vector<std::string>& fields) {
-  Row row;
-  row.reserve(fields.size());
-  for (const auto& f : fields) {
-    if (f.empty()) {
-      row.emplace_back(std::nullopt);
-    } else {
-      row.emplace_back(f);
-    }
-  }
-  return row;
-}
 
 std::vector<std::string> RowToFields(const Row& row) {
   std::vector<std::string> fields;
@@ -159,45 +79,21 @@ std::vector<std::string> RowToFields(const Row& row) {
   return fields;
 }
 
-/// Loads a CSV (header + records) into a new table named `name`.
-Result<Table*> LoadCsvTable(Database* db, const std::string& name,
-                            const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IOError("cannot open " + path);
-  }
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  FM_ASSIGN_OR_RETURN(const bool has_header, reader.Next(&fields));
-  if (!has_header) {
-    return Status::InvalidArgument(path + " is empty");
-  }
-  FM_ASSIGN_OR_RETURN(Table * table, db->CreateTable(name, Schema(fields)));
-  const size_t arity = fields.size();
-  for (;;) {
-    FM_ASSIGN_OR_RETURN(const bool more, reader.Next(&fields));
-    if (!more) break;
-    if (fields.size() != arity) {
-      return Status::InvalidArgument(
-          StringPrintf("%s row %llu has %zu fields, header has %zu",
-                       path.c_str(),
-                       static_cast<unsigned long long>(reader.records_read()),
-                       fields.size(), arity));
-    }
-    FM_RETURN_IF_ERROR(table->Insert(FieldsToRow(fields)).status());
-  }
-  return table;
-}
+/// Upper bound of the row and input counts.
+constexpr int64_t kMaxCount = int64_t{1} << 32;
 
 Status CmdGen(const Args& args) {
-  FM_RETURN_IF_ERROR(args.RejectUnknown({"out", "rows", "seed"}));
+  FM_RETURN_IF_ERROR(args.RejectUnknown({"out", "rows", "seed", "verbose"}));
   const std::string out_path = args.Get("out", "");
   if (out_path.empty()) {
     return Status::InvalidArgument("gen requires --out");
   }
   CustomerGenOptions options;
-  options.num_tuples = static_cast<size_t>(args.GetInt("rows", 100000));
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  FM_ASSIGN_OR_RETURN(const int64_t rows,
+                      args.GetIntInRange("rows", 100000, 0, kMaxCount));
+  FM_ASSIGN_OR_RETURN(const int64_t seed, args.GetInt("seed", 42));
+  options.num_tuples = static_cast<size_t>(rows);
+  options.seed = static_cast<uint64_t>(seed);
   CustomerGenerator generator(options);
 
   std::ofstream out(out_path);
@@ -216,18 +112,24 @@ Status CmdGen(const Args& args) {
 
 Status CmdCorrupt(const Args& args) {
   FM_RETURN_IF_ERROR(args.RejectUnknown(
-      {"ref", "out", "inputs", "profile", "seed", "seeds"}));
+      {"ref", "out", "inputs", "profile", "seed", "seeds", "verbose"}));
   const std::string ref_path = args.Get("ref", "");
   const std::string out_path = args.Get("out", "");
   if (ref_path.empty() || out_path.empty()) {
     return Status::InvalidArgument("corrupt requires --ref and --out");
+  }
+  FM_ASSIGN_OR_RETURN(const int64_t num_inputs,
+                      args.GetIntInRange("inputs", 1000, 0, kMaxCount));
+  FM_ASSIGN_OR_RETURN(const int64_t seed, args.GetInt("seed", 7));
+  const std::string profile = args.Get("profile", "D2");
+  if (profile != "D1" && profile != "D2" && profile != "D3") {
+    return Status::InvalidArgument("--profile must be D1, D2 or D3");
   }
   FM_ASSIGN_OR_RETURN(auto db, Database::Open(DatabaseOptions{
                                    .path = "", .pool_pages = 64 * 1024}));
   FM_ASSIGN_OR_RETURN(Table * ref,
                       LoadCsvTable(db.get(), "ref", ref_path));
 
-  const std::string profile = args.Get("profile", "D2");
   DatasetSpec spec = profile == "D1"   ? DatasetD1()
                      : profile == "D3" ? DatasetD3()
                                        : DatasetD2();
@@ -236,8 +138,8 @@ Status CmdCorrupt(const Args& args) {
     spec.column_error_prob.assign(ref->schema().num_columns(), 0.5);
     spec.column_error_prob[0] = 0.8;
   }
-  spec.num_inputs = static_cast<size_t>(args.GetInt("inputs", 1000));
-  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
+  spec.num_inputs = static_cast<size_t>(num_inputs);
+  spec.seed = static_cast<uint64_t>(seed);
   FM_ASSIGN_OR_RETURN(const std::vector<InputTuple> inputs,
                       GenerateInputs(ref, spec, nullptr));
 
@@ -265,8 +167,7 @@ Status CmdCorrupt(const Args& args) {
 }
 
 /// --bound-policy aggressive|tight|conservative (the per-candidate
-/// upper-bound flavour of DESIGN.md 5e; conservative is the one under
-/// which sharded output is provably byte-identical to single-database).
+/// upper-bound flavour of DESIGN.md 5e).
 Status ApplyBoundPolicy(const Args& args, FuzzyMatchConfig* config) {
   const std::string policy = args.Get("bound-policy", "aggressive");
   if (policy == "aggressive") {
@@ -286,65 +187,31 @@ Status ApplyBoundPolicy(const Args& args, FuzzyMatchConfig* config) {
 Status CmdBuild(const Args& args) {
   FM_RETURN_IF_ERROR(args.RejectUnknown(
       {"ref", "db", "q", "h", "tokens", "build-threads", "temp-dir",
-       "sort-budget-kb", "shards", "bound-policy"}));
+       "sort-budget-kb", "verbose"}));
   const std::string ref_path = args.Get("ref", "");
   const std::string db_path = args.Get("db", "");
   if (ref_path.empty() || db_path.empty()) {
     return Status::InvalidArgument("build requires --ref and --db");
   }
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("shards", 1)));
-  if (shards > 1) {
-    // Sharded build: the reference CSV is staged in memory, hash-
-    // partitioned by tid, and persisted as one database per shard at
-    // <db>.shard<k> — each with its own ETI.
-    FM_ASSIGN_OR_RETURN(auto staging,
-                        Database::Open(DatabaseOptions{
-                            .path = "", .pool_pages = 64 * 1024}));
-    FM_ASSIGN_OR_RETURN(Table * ref,
-                        LoadCsvTable(staging.get(), "ref", ref_path));
-    FuzzyMatchConfig config;
-    config.eti.q = static_cast<int>(args.GetInt("q", 4));
-    config.eti.signature_size = static_cast<int>(args.GetInt("h", 3));
-    config.eti.index_tokens = args.Has("tokens");
-    config.build_threads =
-        static_cast<int>(args.GetInt("build-threads", 1));
-    config.temp_dir = args.Get("temp-dir", "");
-    FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
-    shard::ShardRouter::Options options;
-    options.num_shards = shards;
-    options.db_path_base = db_path;
-    FM_ASSIGN_OR_RETURN(const auto router,
-                        shard::ShardRouter::Build(ref, config, options));
-    FM_RETURN_IF_ERROR(router->Checkpoint());
-    std::printf("built %zu shard databases (ETI %s) over %llu tuples:\n",
-                shards, config.eti.StrategyName().c_str(),
-                static_cast<unsigned long long>(
-                    router->total_reference_tuples()));
-    for (size_t k = 0; k < shards; ++k) {
-      std::printf("  %s: %llu tuples, %llu ETI rows\n",
-                  shard::ShardDbPath(db_path, k).c_str(),
-                  static_cast<unsigned long long>(
-                      router->shard(k).reference().row_count()),
-                  static_cast<unsigned long long>(
-                      router->shard(k).build_stats().eti_rows));
-    }
-    return Status::OK();
-  }
+  EtiBuilder::Options options;
+  FM_ASSIGN_OR_RETURN(const int64_t q, args.GetIntInRange("q", 4, 1, 64));
+  FM_ASSIGN_OR_RETURN(const int64_t h, args.GetIntInRange("h", 3, 1, 256));
+  FM_ASSIGN_OR_RETURN(const int64_t build_threads,
+                      args.GetIntInRange("build-threads", 1, 0, 256));
+  FM_ASSIGN_OR_RETURN(
+      const int64_t sort_kb,
+      args.GetIntInRange("sort-budget-kb", 64 * 1024, 1, int64_t{1} << 30));
+  options.params.q = static_cast<int>(q);
+  options.params.signature_size = static_cast<int>(h);
+  options.params.index_tokens = args.Has("tokens");
+  options.build_threads = static_cast<int>(build_threads);
+  options.temp_dir = args.Get("temp-dir", "");
+  options.sort_memory_bytes = static_cast<size_t>(sort_kb) << 10;
+
   FM_ASSIGN_OR_RETURN(auto db, Database::Open(DatabaseOptions{
                                    .path = db_path, .pool_pages = 64 * 1024}));
   FM_ASSIGN_OR_RETURN(Table * ref,
                       LoadCsvTable(db.get(), "ref", ref_path));
-
-  EtiBuilder::Options options;
-  options.params.q = static_cast<int>(args.GetInt("q", 4));
-  options.params.signature_size = static_cast<int>(args.GetInt("h", 3));
-  options.params.index_tokens = args.Has("tokens");
-  options.build_threads =
-      static_cast<int>(args.GetInt("build-threads", 1));
-  options.temp_dir = args.Get("temp-dir", "");
-  options.sort_memory_bytes =
-      static_cast<size_t>(args.GetInt("sort-budget-kb", 64 * 1024)) << 10;
   FM_ASSIGN_OR_RETURN(const BuiltEti built,
                       EtiBuilder::Build(db.get(), ref, options));
   FM_RETURN_IF_ERROR(db->Checkpoint());
@@ -369,7 +236,7 @@ Status CmdMatch(const Args& args) {
   FM_RETURN_IF_ERROR(args.RejectUnknown(
       {"ref", "input", "out", "q", "h", "tokens", "k", "threshold",
        "load-threshold", "threads", "build-threads", "temp-dir", "metrics",
-       "accel-budget-mb", "tuple-cache-mb", "shards", "bound-policy"}));
+       "accel-budget-mb", "tuple-cache-mb", "bound-policy", "verbose"}));
   const std::string ref_path = args.Get("ref", "");
   const std::string input_path = args.Get("input", "");
   const std::string out_path = args.Get("out", "");
@@ -377,6 +244,42 @@ Status CmdMatch(const Args& args) {
     return Status::InvalidArgument(
         "match requires --ref, --input and --out");
   }
+
+  // Every flag is parsed before the data loads, so a bad value fails
+  // at once.
+  FuzzyMatchConfig config;
+  FM_ASSIGN_OR_RETURN(const int64_t q, args.GetIntInRange("q", 4, 1, 64));
+  FM_ASSIGN_OR_RETURN(const int64_t h, args.GetIntInRange("h", 3, 1, 256));
+  FM_ASSIGN_OR_RETURN(const int64_t k, args.GetIntInRange("k", 1, 1, 1024));
+  config.eti.q = static_cast<int>(q);
+  config.eti.signature_size = static_cast<int>(h);
+  config.eti.index_tokens = args.Has("tokens");
+  config.matcher.k = static_cast<size_t>(k);
+  FM_ASSIGN_OR_RETURN(config.matcher.min_similarity,
+                      args.GetDouble("threshold", 0.0));
+  FM_ASSIGN_OR_RETURN(const int64_t build_threads,
+                      args.GetIntInRange("build-threads", 1, 0, 256));
+  config.build_threads = static_cast<int>(build_threads);
+  config.temp_dir = args.Get("temp-dir", "");
+  FM_ASSIGN_OR_RETURN(
+      const int64_t accel_mb,
+      args.GetIntInRange("accel-budget-mb",
+                         static_cast<int64_t>(config.accel_memory_bytes >> 20),
+                         0, 1 << 20));
+  config.accel_memory_bytes = static_cast<size_t>(accel_mb) << 20;
+  FM_ASSIGN_OR_RETURN(
+      const int64_t cache_mb,
+      args.GetIntInRange(
+          "tuple-cache-mb",
+          static_cast<int64_t>(config.matcher.tuple_cache_bytes >> 20), 0,
+          1 << 20));
+  config.matcher.tuple_cache_bytes = static_cast<size_t>(cache_mb) << 20;
+  FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
+  BatchCleaner::Options clean_options;
+  FM_ASSIGN_OR_RETURN(clean_options.load_threshold,
+                      args.GetDouble("load-threshold", 0.8));
+  FM_ASSIGN_OR_RETURN(const int64_t threads,
+                      args.GetIntInRange("threads", 1, 1, 256));
 
   FM_ASSIGN_OR_RETURN(auto db, Database::Open(DatabaseOptions{
                                    .path = "", .pool_pages = 64 * 1024}));
@@ -386,59 +289,13 @@ Status CmdMatch(const Args& args) {
               static_cast<unsigned long long>(ref->row_count()),
               ref_path.c_str());
 
-  FuzzyMatchConfig config;
-  config.eti.q = static_cast<int>(args.GetInt("q", 4));
-  config.eti.signature_size = static_cast<int>(args.GetInt("h", 3));
-  config.eti.index_tokens = args.Has("tokens");
-  config.matcher.k = static_cast<size_t>(args.GetInt("k", 1));
-  config.matcher.min_similarity = args.GetDouble("threshold", 0.0);
-  config.build_threads =
-      static_cast<int>(args.GetInt("build-threads", 1));
-  config.temp_dir = args.Get("temp-dir", "");
-  config.accel_memory_bytes =
-      static_cast<size_t>(args.GetInt(
-          "accel-budget-mb",
-          static_cast<int64_t>(config.accel_memory_bytes >> 20)))
-      << 20;
-  config.matcher.tuple_cache_bytes =
-      static_cast<size_t>(args.GetInt(
-          "tuple-cache-mb",
-          static_cast<int64_t>(config.matcher.tuple_cache_bytes >> 20)))
-      << 20;
-  FM_RETURN_IF_ERROR(ApplyBoundPolicy(args, &config));
-
-  // Either one engine over the whole relation, or a scatter/gather tier
-  // of per-shard engines behind the same MatchSource interface; the
-  // output CSV format is identical either way.
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("shards", 1)));
-  std::unique_ptr<FuzzyMatcher> matcher;
-  std::unique_ptr<shard::ShardRouter> router;
-  std::unique_ptr<shard::ShardedMatcher> sharded;
-  const MatchSource* source = nullptr;
-  if (shards > 1) {
-    shard::ShardRouter::Options router_options;
-    router_options.num_shards = shards;
-    FM_ASSIGN_OR_RETURN(router,
-                        shard::ShardRouter::Build(ref, config, router_options));
-    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(router.get()));
-    source = sharded.get();
-    double build_seconds = 0.0;
-    for (size_t k = 0; k < shards; ++k) {
-      build_seconds += router->shard(k).build_stats().total_seconds;
-    }
-    std::printf("built %zu shard ETIs (%s) in %.2fs\n", shards,
-                config.eti.StrategyName().c_str(), build_seconds);
-  } else {
-    FM_ASSIGN_OR_RETURN(matcher,
-                        FuzzyMatcher::Build(db.get(), "ref", config));
-    source = matcher.get();
-    std::printf("built ETI %s in %.2fs (%llu rows)\n",
-                config.eti.StrategyName().c_str(),
-                matcher->build_stats().total_seconds,
-                static_cast<unsigned long long>(
-                    matcher->build_stats().eti_rows));
-  }
+  FM_ASSIGN_OR_RETURN(const std::unique_ptr<FuzzyMatcher> matcher,
+                      FuzzyMatcher::Build(db.get(), "ref", config));
+  std::printf("built ETI %s in %.2fs (%llu rows)\n",
+              config.eti.StrategyName().c_str(),
+              matcher->build_stats().total_seconds,
+              static_cast<unsigned long long>(
+                  matcher->build_stats().eti_rows));
 
   // Read the input feed (tolerating an extra trailing audit column).
   std::ifstream in(input_path);
@@ -482,15 +339,11 @@ Status CmdMatch(const Args& args) {
   }
   writer.Write(header);
 
-  BatchCleaner::Options clean_options;
-  clean_options.load_threshold = args.GetDouble("load-threshold", 0.8);
-  const BatchCleaner cleaner(source, clean_options);
-  const size_t threads =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("threads", 1)));
+  const BatchCleaner cleaner(matcher.get(), clean_options);
   FM_ASSIGN_OR_RETURN(
       const CleanStats stats,
       cleaner.CleanBatchParallel(
-          inputs, threads,
+          inputs, static_cast<size_t>(threads),
           [&](size_t i, const CleanResult& result) -> Status {
             std::vector<std::string> record(raw_inputs[i].begin(),
                                             raw_inputs[i].begin() +
@@ -568,15 +421,18 @@ void PrintSpanSubtree(const std::vector<server::JsonValue>& spans,
 }
 
 Status CmdTrace(const Args& args) {
-  FM_RETURN_IF_ERROR(args.RejectUnknown({"port", "host", "limit", "json"}));
+  FM_RETURN_IF_ERROR(
+      args.RejectUnknown({"port", "host", "limit", "json", "verbose"}));
   if (!args.Has("port")) {
     return Status::InvalidArgument("trace requires --port");
   }
+  FM_ASSIGN_OR_RETURN(const int64_t port,
+                      args.GetIntInRange("port", 0, 1, 65535));
+  FM_ASSIGN_OR_RETURN(const int64_t limit,
+                      args.GetIntInRange("limit", 16, 1, 1 << 16));
   server::LineClient client;
-  FM_RETURN_IF_ERROR(client.Connect(
-      args.Get("host", "127.0.0.1"),
-      static_cast<uint16_t>(args.GetInt("port", 0))));
-  const int64_t limit = std::max<int64_t>(1, args.GetInt("limit", 16));
+  FM_RETURN_IF_ERROR(client.Connect(args.Get("host", "127.0.0.1"),
+                                    static_cast<uint16_t>(port)));
   FM_ASSIGN_OR_RETURN(
       const std::string raw,
       client.Roundtrip(StringPrintf("tracez %lld",
@@ -664,14 +520,12 @@ void PrintUsage() {
       "          [--profile D1|D2|D3] [--seed S] [--seeds]\n"
       "  build   --ref ref.csv --db store.fmdb\n"
       "          [--q N] [--h N] [--tokens] [--build-threads N]\n"
-      "          [--temp-dir DIR] [--sort-budget-kb KB] [--shards N]\n"
-      "          [--bound-policy aggressive|tight|conservative]\n"
+      "          [--temp-dir DIR] [--sort-budget-kb KB]\n"
       "  match   --ref ref.csv --input dirty.csv --out out.csv\n"
       "          [--q N] [--h N] [--tokens] [--k N] [--threshold C]\n"
       "          [--load-threshold C] [--threads N] [--build-threads N]\n"
       "          [--temp-dir DIR] [--metrics [FILE]]\n"
       "          [--accel-budget-mb MB] [--tuple-cache-mb MB]\n"
-      "          [--shards N]\n"
       "          [--bound-policy aggressive|tight|conservative]\n"
       "          [--verbose]\n"
       "  trace   --port P [--host A] [--limit N] [--json]\n");
@@ -685,7 +539,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  const Args args(argc, argv);
+  const Args args(argc, argv, 2);
   if (args.Has("verbose")) {
     SetLogLevel(LogLevel::kDebug);
   }

@@ -16,8 +16,8 @@
 // bench_results/. --watch polls the server's statusz and tracez
 // endpoints on a side connection during the run and prints one live line
 // per interval (busy workers, queue depth, shed/error counts, flight-
-// recorder slow/error outliers, RSS, and — against a sharded server —
-// the per-shard scatter-queue depths).
+// recorder slow/error outliers, RSS). An unknown flag or a malformed
+// number is an error naming it.
 
 #include <algorithm>
 #include <atomic>
@@ -25,11 +25,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "args.h"
 #include "common/csv.h"
 #include "common/string_util.h"
 #include "server/client.h"
@@ -38,40 +38,6 @@
 using namespace fuzzymatch;
 
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        continue;
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// Request op types tracked separately in the report.
 enum OpKind : uint8_t { kMatch = 0, kClean = 1, kPing = 2 };
@@ -259,30 +225,16 @@ void WatchLoop(const std::string& host, uint16_t port, double interval_s,
         }
       }
     }
-    // Sharded servers expose one statusz entry per shard; the live line
-    // shows each shard's scatter-queue depth.
-    std::string shard_queues;
-    if (const server::JsonValue* shards = doc->Find("shards");
-        shards != nullptr && shards->is_array()) {
-      for (const server::JsonValue& one : shards->array_items()) {
-        if (!shard_queues.empty()) shard_queues.push_back(',');
-        const server::JsonValue* depth = one.Find("queue_depth");
-        shard_queues += StringPrintf(
-            "%.0f", depth != nullptr ? depth->number_value() : 0.0);
-      }
-    }
     std::printf(
         "[watch] up=%.0fs busy=%zu/%zu queue=%.0f/%.0f shed=%.0f "
-        "errors=%.0f outliers=%.0f slow/%.0f err rss=%.0fMB%s%s%s\n",
+        "errors=%.0f outliers=%.0f slow/%.0f err rss=%.0fMB\n",
         doc->Find("uptime_seconds") != nullptr
             ? doc->Find("uptime_seconds")->number_value()
             : 0.0,
         busy, workers, number_at("queue", "depth"),
         number_at("queue", "capacity"), number_at("counters", "shed"),
         number_at("counters", "query_errors"), trace_slow, trace_errors,
-        number_at("process", "rss_bytes") / (1 << 20),
-        shard_queues.empty() ? "" : " shardq=[",
-        shard_queues.c_str(), shard_queues.empty() ? "" : "]");
+        number_at("process", "rss_bytes") / (1 << 20));
     std::fflush(stdout);
     // Sleep in small steps so shutdown is prompt.
     for (double slept = 0.0;
@@ -296,7 +248,7 @@ void WatchLoop(const std::string& host, uint16_t port, double interval_s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, 1);
   if (args.Has("help") || !args.Has("port")) {
     std::fprintf(
         stderr,
@@ -306,12 +258,29 @@ int main(int argc, char** argv) {
         "         [--watch [SECONDS]]\n");
     return 2;
   }
+  const Status known =
+      args.RejectUnknown({"port", "host", "clients", "requests", "input",
+                          "op", "metrics-out", "watch", "help"});
+  const Result<int64_t> port_flag = args.GetIntInRange("port", 0, 1, 65535);
+  const Result<int64_t> clients_flag =
+      args.GetIntInRange("clients", 4, 1, 1024);
+  const Result<int64_t> requests_flag =
+      args.GetIntInRange("requests", 100, 1, 1 << 30);
+  // --watch takes an optional interval in seconds.
+  const Result<int64_t> watch_flag =
+      args.Get("watch", "").empty() ? Result<int64_t>(1)
+                                    : args.GetIntInRange("watch", 1, 1, 3600);
+  for (const Status& s : {known, port_flag.status(), clients_flag.status(),
+                          requests_flag.status(), watch_flag.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
   const std::string host = args.Get("host", "127.0.0.1");
-  const uint16_t port = static_cast<uint16_t>(args.GetInt("port", 0));
-  const size_t clients =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("clients", 4)));
-  const size_t requests_per_client =
-      static_cast<size_t>(std::max<int64_t>(1, args.GetInt("requests", 100)));
+  const uint16_t port = static_cast<uint16_t>(*port_flag);
+  const size_t clients = static_cast<size_t>(*clients_flag);
+  const size_t requests_per_client = static_cast<size_t>(*requests_flag);
   const std::string op = args.Get("op", "match");
 
   auto requests = BuildRequests(args.Get("input", ""), op);
@@ -323,9 +292,8 @@ int main(int argc, char** argv) {
   std::atomic<bool> stop_watch{false};
   std::thread watcher;
   if (args.Has("watch")) {
-    const double interval =
-        std::max<int64_t>(1, args.GetInt("watch", 1));
-    watcher = std::thread(WatchLoop, host, port, interval, &stop_watch);
+    watcher = std::thread(WatchLoop, host, port,
+                          static_cast<double>(*watch_flag), &stop_watch);
   }
 
   std::vector<ClientResult> results(clients);

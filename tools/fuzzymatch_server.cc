@@ -6,7 +6,6 @@
 //                     [--q N] [--h N] [--tokens] [--k N] [--threshold C]
 //                     [--load-threshold C]
 //                     [--accel-budget-mb MB] [--tuple-cache-mb MB]
-//                     [--shards N]
 //                     [--db PATH] [--wal-fsync always|group|never]
 //                     [--verbose]
 //
@@ -36,161 +35,24 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
-#include <set>
 #include <string>
 
 #include <unistd.h>
 
-#include "common/csv.h"
-#include "common/result.h"
+#include "args.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "core/fuzzy_match.h"
 #include "fault/failpoint.h"
 #include "obs/log.h"
 #include "obs/process_metrics.h"
 #include "obs/trace.h"
 #include "server/server.h"
-#include "shard/shard_router.h"
-#include "shard/sharded_matcher.h"
 #include "storage/wal.h"
 
 using namespace fuzzymatch;
 
 namespace {
-
-/// Tiny --flag[=value] parser: flags with values must use --flag value.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        continue;
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  /// Fails on the first flag outside `known`.
-  Status RejectUnknown(const std::set<std::string>& known) const {
-    for (const auto& [key, value] : values_) {
-      if (known.count(key) == 0) {
-        return Status::InvalidArgument("unknown flag --" + key);
-      }
-    }
-    return Status::OK();
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  /// Strict numeric flags: a present-but-malformed value is a startup
-  /// error with a one-line diagnostic, never a silent zero.
-  Result<int64_t> GetInt(const std::string& key, int64_t fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      return fallback;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-    if (it->second.empty() || end == nullptr || *end != '\0' || errno != 0) {
-      return Status::InvalidArgument(
-          StringPrintf("--%s: '%s' is not an integer", key.c_str(),
-                       it->second.c_str()));
-    }
-    return v;
-  }
-
-  Result<double> GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      return fallback;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (it->second.empty() || end == nullptr || *end != '\0' || errno != 0) {
-      return Status::InvalidArgument(
-          StringPrintf("--%s: '%s' is not a number", key.c_str(),
-                       it->second.c_str()));
-    }
-    return v;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-/// GetInt plus a range check, for flags where out-of-range values would
-/// otherwise be silently truncated by a narrowing cast.
-Result<int64_t> GetIntInRange(const Args& args, const std::string& key,
-                              int64_t fallback, int64_t lo, int64_t hi) {
-  FM_ASSIGN_OR_RETURN(const int64_t v, args.GetInt(key, fallback));
-  if (v < lo || v > hi) {
-    return Status::InvalidArgument(
-        StringPrintf("--%s: %lld out of range [%lld, %lld]", key.c_str(),
-                     static_cast<long long>(v), static_cast<long long>(lo),
-                     static_cast<long long>(hi)));
-  }
-  return v;
-}
-
-Row FieldsToRow(const std::vector<std::string>& fields) {
-  Row row;
-  row.reserve(fields.size());
-  for (const auto& f : fields) {
-    if (f.empty()) {
-      row.emplace_back(std::nullopt);
-    } else {
-      row.emplace_back(f);
-    }
-  }
-  return row;
-}
-
-Result<Table*> LoadCsvTable(Database* db, const std::string& name,
-                            const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IOError("cannot open " + path);
-  }
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  FM_ASSIGN_OR_RETURN(const bool has_header, reader.Next(&fields));
-  if (!has_header) {
-    return Status::InvalidArgument(path + " is empty");
-  }
-  FM_ASSIGN_OR_RETURN(Table * table, db->CreateTable(name, Schema(fields)));
-  const size_t arity = fields.size();
-  for (;;) {
-    FM_ASSIGN_OR_RETURN(const bool more, reader.Next(&fields));
-    if (!more) break;
-    if (fields.size() != arity) {
-      return Status::InvalidArgument(
-          StringPrintf("%s row %llu has %zu fields, header has %zu",
-                       path.c_str(),
-                       static_cast<unsigned long long>(reader.records_read()),
-                       fields.size(), arity));
-    }
-    FM_RETURN_IF_ERROR(table->Insert(FieldsToRow(fields)).status());
-  }
-  return table;
-}
 
 // Self-pipe: the signal handler's only job is to wake main (a write(2) to
 // a pipe is async-signal-safe; so is the server's RequestStop, but the
@@ -213,7 +75,7 @@ Status Run(const Args& args) {
       {"ref", "port", "host", "workers", "queue", "max-conns",
        "idle-timeout-ms", "q", "h", "tokens", "k", "threshold",
        "load-threshold", "build-threads", "accel-budget-mb",
-       "tuple-cache-mb", "shards", "db", "wal-fsync", "slow-trace-ms",
+       "tuple-cache-mb", "db", "wal-fsync", "slow-trace-ms",
        "recorder-capacity", "no-trace", "verbose", "help"}));
   const std::string ref_path = args.Get("ref", "");
   if (ref_path.empty()) {
@@ -223,9 +85,9 @@ Status Run(const Args& args) {
   // Parse and validate every flag before touching the data so a typo'd
   // invocation fails in milliseconds with a one-line diagnostic.
   FuzzyMatchConfig config;
-  FM_ASSIGN_OR_RETURN(const int64_t q, GetIntInRange(args, "q", 4, 1, 64));
-  FM_ASSIGN_OR_RETURN(const int64_t h, GetIntInRange(args, "h", 3, 1, 256));
-  FM_ASSIGN_OR_RETURN(const int64_t k, GetIntInRange(args, "k", 1, 1, 1024));
+  FM_ASSIGN_OR_RETURN(const int64_t q, args.GetIntInRange("q", 4, 1, 64));
+  FM_ASSIGN_OR_RETURN(const int64_t h, args.GetIntInRange("h", 3, 1, 256));
+  FM_ASSIGN_OR_RETURN(const int64_t k, args.GetIntInRange("k", 1, 1, 1024));
   config.eti.q = static_cast<int>(q);
   config.eti.signature_size = static_cast<int>(h);
   config.eti.index_tokens = args.Has("tokens");
@@ -234,20 +96,19 @@ Status Run(const Args& args) {
                       args.GetDouble("threshold", 0.0));
   FM_ASSIGN_OR_RETURN(
       const int64_t accel_mb,
-      GetIntInRange(args, "accel-budget-mb",
-                    static_cast<int64_t>(config.accel_memory_bytes >> 20), 0,
-                    1 << 20));
+      args.GetIntInRange("accel-budget-mb",
+                         static_cast<int64_t>(config.accel_memory_bytes >> 20),
+                         0, 1 << 20));
   config.accel_memory_bytes = static_cast<size_t>(accel_mb) << 20;
   FM_ASSIGN_OR_RETURN(
       const int64_t cache_mb,
-      GetIntInRange(args, "tuple-cache-mb",
-                    static_cast<int64_t>(config.matcher.tuple_cache_bytes >>
-                                         20),
-                    0, 1 << 20));
+      args.GetIntInRange(
+          "tuple-cache-mb",
+          static_cast<int64_t>(config.matcher.tuple_cache_bytes >> 20), 0,
+          1 << 20));
   config.matcher.tuple_cache_bytes = static_cast<size_t>(cache_mb) << 20;
-  FM_ASSIGN_OR_RETURN(
-      const int64_t build_threads,
-      GetIntInRange(args, "build-threads", 1, 0, 256));
+  FM_ASSIGN_OR_RETURN(const int64_t build_threads,
+                      args.GetIntInRange("build-threads", 1, 0, 256));
   config.build_threads = static_cast<int>(build_threads);
 
   BatchCleaner::Options clean_options;
@@ -257,27 +118,27 @@ Status Run(const Args& args) {
   server::ServerOptions options;
   options.host = args.Get("host", "127.0.0.1");
   FM_ASSIGN_OR_RETURN(const int64_t port,
-                      GetIntInRange(args, "port", 7878, 0, 65535));
+                      args.GetIntInRange("port", 7878, 0, 65535));
   options.port = static_cast<uint16_t>(port);
   FM_ASSIGN_OR_RETURN(const int64_t workers,
-                      GetIntInRange(args, "workers", 4, 1, 4096));
+                      args.GetIntInRange("workers", 4, 1, 4096));
   options.workers = static_cast<size_t>(workers);
   FM_ASSIGN_OR_RETURN(const int64_t queue,
-                      GetIntInRange(args, "queue", 64, 1, 1 << 20));
+                      args.GetIntInRange("queue", 64, 1, 1 << 20));
   options.queue_capacity = static_cast<size_t>(queue);
   FM_ASSIGN_OR_RETURN(const int64_t max_conns,
-                      GetIntInRange(args, "max-conns", 256, 1, 1 << 20));
+                      args.GetIntInRange("max-conns", 256, 1, 1 << 20));
   options.max_connections = static_cast<size_t>(max_conns);
   FM_ASSIGN_OR_RETURN(
       const int64_t idle_ms,
-      GetIntInRange(args, "idle-timeout-ms", 30000, 0, 86400000));
+      args.GetIntInRange("idle-timeout-ms", 30000, 0, 86400000));
   options.idle_timeout_ms = static_cast<int>(idle_ms);
   FM_ASSIGN_OR_RETURN(const int64_t slow_ms,
-                      GetIntInRange(args, "slow-trace-ms", 100, 1, 3600000));
+                      args.GetIntInRange("slow-trace-ms", 100, 1, 3600000));
   options.slow_trace_ms = static_cast<int>(slow_ms);
   FM_ASSIGN_OR_RETURN(
       const int64_t recorder_cap,
-      GetIntInRange(args, "recorder-capacity", 64, 1, 1 << 16));
+      args.GetIntInRange("recorder-capacity", 64, 1, 1 << 16));
   options.recorder_capacity = static_cast<size_t>(recorder_cap);
   if (args.Has("no-trace")) {
     obs::SetTracingEnabled(false);
@@ -286,9 +147,6 @@ Status Run(const Args& args) {
   // Out-of-band fault arming for harnesses driving this process (e.g.
   // tools/ci.sh obscheck injects a sleep to exercise slow-query capture).
   FM_RETURN_IF_ERROR(fault::ArmFromEnv());
-
-  FM_ASSIGN_OR_RETURN(
-      const int64_t shards, GetIntInRange(args, "shards", 1, 1, 1024));
 
   DatabaseOptions db_options;
   db_options.path = args.Get("db", "");
@@ -318,61 +176,34 @@ Status Run(const Args& args) {
       .Field("path", reattached ? db_options.path : ref_path)
       .Field("reattached", reattached);
 
-  // Single-database engine, or a scatter/gather tier of per-shard
-  // engines hosted in-process — the protocol surface is identical and
-  // statusz grows a per-shard section.
-  std::unique_ptr<FuzzyMatcher> matcher;
-  std::unique_ptr<shard::ShardRouter> router;
-  std::unique_ptr<shard::ShardedMatcher> sharded;
-  if (shards > 1) {
-    shard::ShardRouter::Options router_options;
-    router_options.num_shards = static_cast<size_t>(shards);
-    FM_ASSIGN_OR_RETURN(router,
-                        shard::ShardRouter::Build(ref, config, router_options));
-    FM_ASSIGN_OR_RETURN(sharded, shard::ShardedMatcher::Create(router.get()));
-    for (size_t k = 0; k < router->num_shards(); ++k) {
-      FM_SLOG(Info, "server.shard_built")
-          .Field("shard", static_cast<uint64_t>(k))
-          .Field("tuples", router->shard(k).reference().row_count())
-          .Field("seconds", router->shard(k).build_stats().total_seconds);
-    }
-  } else {
-    // On a reattach the persisted ETI already exists; Open() attaches to
-    // it instead of paying the build again.
-    Result<std::unique_ptr<FuzzyMatcher>> built =
-        FuzzyMatcher::Build(db.get(), "ref", config);
-    if (!built.ok() && built.status().IsAlreadyExists()) {
-      built = FuzzyMatcher::Open(db.get(), "ref", config.eti.StrategyName(),
-                                 config);
-    }
-    FM_ASSIGN_OR_RETURN(matcher, std::move(built));
-    FM_SLOG(Info, "server.eti_built")
-        .Field("strategy", config.eti.StrategyName())
-        .Field("seconds", matcher->build_stats().total_seconds)
-        .Field("rows", matcher->build_stats().eti_rows);
-    if (const EtiAccel* accel = matcher->eti().accelerator()) {
-      FM_SLOG(Info, "server.accel_attached")
-          .Field("entries", static_cast<uint64_t>(accel->entry_count()))
-          .Field("bytes", static_cast<uint64_t>(accel->memory_bytes()))
-          .Field("complete", accel->complete());
-    }
+  // On a reattach the persisted ETI already exists; Open() attaches to
+  // it instead of paying the build again.
+  Result<std::unique_ptr<FuzzyMatcher>> built =
+      FuzzyMatcher::Build(db.get(), "ref", config);
+  if (!built.ok() && built.status().IsAlreadyExists()) {
+    built = FuzzyMatcher::Open(db.get(), "ref", config.eti.StrategyName(),
+                               config);
+  }
+  FM_ASSIGN_OR_RETURN(const std::unique_ptr<FuzzyMatcher> matcher,
+                      std::move(built));
+  FM_SLOG(Info, "server.eti_built")
+      .Field("strategy", config.eti.StrategyName())
+      .Field("seconds", matcher->build_stats().total_seconds)
+      .Field("rows", matcher->build_stats().eti_rows);
+  if (const EtiAccel* accel = matcher->eti().accelerator()) {
+    FM_SLOG(Info, "server.accel_attached")
+        .Field("entries", static_cast<uint64_t>(accel->entry_count()))
+        .Field("bytes", static_cast<uint64_t>(accel->memory_bytes()))
+        .Field("complete", accel->complete());
   }
 
   // Graceful drain must not lose acknowledged maintenance: after the
   // last response flushes, group-commit and fsync the WAL.
   options.drain_flush = [db = db.get()] { return db->FlushWal(); };
-  if (matcher != nullptr) {
-    options.rebuild_handler = [m = matcher.get()] { return m->RebuildEti(); };
-  }
+  options.rebuild_handler = [m = matcher.get()] { return m->RebuildEti(); };
 
-  std::unique_ptr<server::MatchServer> srv;
-  if (sharded != nullptr) {
-    srv = std::make_unique<server::MatchServer>(sharded.get(),
-                                                clean_options, options);
-  } else {
-    srv = std::make_unique<server::MatchServer>(matcher.get(),
-                                                clean_options, options);
-  }
+  const auto srv = std::make_unique<server::MatchServer>(
+      matcher.get(), clean_options, options);
 
   if (::pipe(g_stop_pipe) != 0) {
     return Status::IOError("pipe: " + std::string(std::strerror(errno)));
@@ -424,7 +255,7 @@ void PrintUsage() {
       "         [--workers N] [--queue N] [--max-conns N]\n"
       "         [--idle-timeout-ms N] [--q N] [--h N] [--tokens] [--k N]\n"
       "         [--threshold C] [--load-threshold C] [--build-threads N]\n"
-      "         [--accel-budget-mb MB] [--tuple-cache-mb MB] [--shards N]\n"
+      "         [--accel-budget-mb MB] [--tuple-cache-mb MB]\n"
       "         [--db PATH] [--wal-fsync always|group|never]\n"
       "         [--slow-trace-ms N] [--recorder-capacity N] [--no-trace]\n"
       "         [--verbose]\n"
@@ -435,7 +266,7 @@ void PrintUsage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, 1);
   if (args.Has("help") || argc < 2) {
     PrintUsage();
     return 2;
