@@ -1,5 +1,5 @@
 // WAL durability bench (DESIGN.md 5j): durable maintenance throughput
-// under the three fsync policies, and log-replay recovery speed over a
+// under the two fsync policies, and log-replay recovery speed over a
 // crash snapshot taken mid-session. Archives the wal.* counter family
 // plus its own gauges via DumpMetrics, so CI's walcheck stage keeps a
 // diffable record of the group-commit and recovery costs.
@@ -44,8 +44,7 @@ Status Run() {
   auto& registry = obs::MetricsRegistry::Global();
   std::string replay_snapshot;  // crash snapshot from the kGroup run
 
-  for (const WalFsyncMode mode :
-       {WalFsyncMode::kAlways, WalFsyncMode::kGroup, WalFsyncMode::kNever}) {
+  for (const WalFsyncMode mode : {WalFsyncMode::kGroup, WalFsyncMode::kNever}) {
     const std::string name(WalFsyncModeName(mode));
     const std::string path = TempDbPath(name.c_str());
     RemoveWithWal(path);
@@ -130,9 +129,9 @@ Status Run() {
     RemoveWithWal(replay_snapshot);
   }
 
-  std::printf("\nExpected shape: never > group > always in ops/s (each "
-              "step removes fsync\nwaits); recovery cost scales with the "
-              "committed log, not the database size.\n");
+  std::printf("\nExpected shape: never > group in ops/s (no fsync "
+              "waits); recovery cost\nscales with the committed log, not "
+              "the database size.\n");
   return Status::OK();
 }
 

@@ -135,6 +135,9 @@ Result<double> EtiMatcher::VerifiedSimilarity(Tid tid,
 
 Result<std::vector<Match>> EtiMatcher::FindMatches(const Row& input,
                                              QueryStats* stats) const {
+  if (options_.k == 0) {
+    return Status::InvalidArgument("matcher k must be at least 1");
+  }
   // Request boundary: when nothing upstream (server worker, cleaner)
   // installed a trace, this query gets its own id and span tree.
   obs::MaybeRequestTrace boundary("match");

@@ -39,7 +39,8 @@ class EtiMatcher {
 
   /// The K-fuzzy-match operation: the at-most-K reference tuples closest
   /// to `input` under fms, each with similarity >= the configured minimum,
-  /// best first. Probabilistically exact (Theorems 1 and 2).
+  /// best first. Probabilistically exact (Theorems 1 and 2). K = 0 is
+  /// InvalidArgument.
   Result<std::vector<Match>> FindMatches(const Row& input,
                                    QueryStats* stats = nullptr) const;
 

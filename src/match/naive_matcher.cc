@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "sim/ed_tuple.h"
@@ -41,6 +42,11 @@ bool Beats(Tid tid, double similarity, const Match& worst) {
   return tid < worst.tid;
 }
 }  // namespace
+
+TopKCollector::TopKCollector(size_t k, double min_similarity)
+    : k_(k), min_similarity_(min_similarity) {
+  FM_CHECK_GT(k_, size_t{0}) << "a top-K collector needs K >= 1";
+}
 
 void TopKCollector::Offer(Tid tid, double similarity) {
   if (similarity < min_similarity_) {
@@ -103,6 +109,9 @@ Result<std::vector<Match>> NaiveMatcher::FindMatches(const Row& input,
                                                QueryStats* stats) const {
   if (!prepared_) {
     return Status::InvalidArgument("NaiveMatcher::Prepare() not called");
+  }
+  if (options_.k == 0) {
+    return Status::InvalidArgument("matcher k must be at least 1");
   }
   Timer timer;
   const TokenizedTuple u = tokenizer_.TokenizeTuple(input);

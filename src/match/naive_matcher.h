@@ -32,7 +32,7 @@ class NaiveMatcher {
   Status Prepare();
 
   /// Returns the K reference tuples most similar to `input`, best first,
-  /// filtered by the minimum similarity.
+  /// filtered by the minimum similarity. K = 0 is InvalidArgument.
   Result<std::vector<Match>> FindMatches(const Row& input,
                                    QueryStats* stats = nullptr) const;
 
@@ -49,8 +49,8 @@ class NaiveMatcher {
 /// Keeps the best K (tid, similarity) pairs seen; shared by both matchers.
 class TopKCollector {
  public:
-  TopKCollector(size_t k, double min_similarity)
-      : k_(k), min_similarity_(min_similarity) {}
+  /// `k` must be at least 1.
+  TopKCollector(size_t k, double min_similarity);
 
   /// Offers one scored tuple.
   void Offer(Tid tid, double similarity);

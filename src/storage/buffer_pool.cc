@@ -174,6 +174,8 @@ Result<PageGuard> BufferPool::New() {
   CaptureBeforeImage(id, fr.data.get());
   if (txn_active_) {
     txn_dirtied_.insert(id);
+  } else {
+    unlogged_writes_ = true;
   }
   return PageGuard(this, f, id);
 }
@@ -196,6 +198,8 @@ void BufferPool::MarkDirty(size_t frame) {
   if (txn_active_) {
     fr.txn_dirty = true;
     txn_dirtied_.insert(fr.page_id);
+  } else {
+    unlogged_writes_ = true;
   }
 }
 
@@ -258,37 +262,58 @@ Status BufferPool::CommitWalTxn() {
   FM_FAIL_POINT("wal.commit");
   // After-images: resident frames carry the latest bytes; stolen pages
   // were flushed to the main file, which therefore does.
-  std::vector<std::unique_ptr<char[]>> images;
-  std::vector<std::pair<PageId, const char*>> batch;
-  images.reserve(txn_dirtied_.size());
+  std::vector<std::unique_ptr<char[]>> stolen;
+  std::vector<WalPageRedo> batch;
   batch.reserve(txn_dirtied_.size());
   for (const PageId id : txn_dirtied_) {
-    auto img = std::make_unique<char[]>(kPageSize);
+    const char* image = nullptr;
     const auto it = page_to_frame_.find(id);
     if (it != page_to_frame_.end()) {
-      std::memcpy(img.get(), frames_[it->second].data.get(), kPageSize);
+      image = frames_[it->second].data.get();
     } else {
-      FM_RETURN_IF_ERROR(pager_->ReadPage(id, img.get()));
+      stolen.push_back(std::make_unique<char[]>(kPageSize));
+      FM_RETURN_IF_ERROR(pager_->ReadPage(id, stolen.back().get()));
+      image = stolen.back().get();
     }
-    batch.emplace_back(id, img.get());
-    images.push_back(std::move(img));
+    WalPageRedo redo{id, image};
+    const auto before = txn_before_.find(id);
+    if (before != txn_before_.end() && !txn_retry_) {
+      redo.ranges = DiffPage(before->second.get(), image);
+      if (redo.ranges.empty()) {
+        continue;  // dirtied, but no byte changed
+      }
+      if (unlogged_writes_) {
+        redo.ranges.clear();  // the whole image
+      }
+    }
+    batch.push_back(std::move(redo));
   }
   if (!batch.empty()) {
     // Blocks until the batch plus its commit record are durable. On error
     // the transaction stays open: nothing gets acknowledged, and a later
-    // commit (or the caller's retry) re-logs the same pages.
-    FM_RETURN_IF_ERROR(wal_->CommitPages(batch).status());
-    for (const auto& [id, img] : batch) {
-      const auto it = page_to_frame_.find(id);
-      if (it != page_to_frame_.end()) {
-        frames_[it->second].txn_dirty = false;
-      }
+    // commit (or the caller's retry) re-logs the same pages whole.
+    const Status committed = wal_->CommitPages(batch).status();
+    if (!committed.ok()) {
+      txn_retry_ = true;
+      return committed;
+    }
+  }
+  for (const PageId id : txn_dirtied_) {
+    const auto it = page_to_frame_.find(id);
+    if (it != page_to_frame_.end()) {
+      frames_[it->second].txn_dirty = false;
     }
   }
   txn_before_.clear();
   txn_dirtied_.clear();
   txn_active_ = false;
+  txn_retry_ = false;
   return Status::OK();
+}
+
+void BufferPool::MarkCheckpointed() {
+  std::lock_guard<std::mutex> lock(mu_);
+  unlogged_writes_ = false;
 }
 
 Status BufferPool::FlushAll() {

@@ -122,11 +122,20 @@ class BufferPool {
   /// logged as a batch by CommitWalTxn(). No-op without a WAL attached.
   void BeginWalTxn();
 
-  /// Commits the active maintenance transaction: appends the after-image
-  /// of every page dirtied since BeginWalTxn() plus a commit record to
-  /// the WAL and blocks until durable. On error the transaction stays
-  /// open (nothing was acknowledged) and a later commit retries.
+  /// Commits the active maintenance transaction: logs every page that
+  /// changed since BeginWalTxn() plus a commit record to the WAL and
+  /// blocks until durable. A page is logged as the byte ranges that differ
+  /// from its before-image; as its whole image when it has none, or when
+  /// the store was written outside a transaction since the last
+  /// checkpoint (the main file may then hold neither the before-image nor
+  /// a later version of it). On error the transaction stays open (nothing
+  /// was acknowledged) and a later commit retries.
   Status CommitWalTxn();
+
+  /// Records that a checkpoint made every page durable in the main file,
+  /// so byte ranges again apply to what the file holds. Called by
+  /// Database::Checkpoint once it has flushed everything.
+  void MarkCheckpointed();
 
   /// True while a maintenance transaction is open.
   bool wal_txn_active() const;
@@ -190,6 +199,13 @@ class BufferPool {
   bool txn_active_ = false;
   std::unordered_map<PageId, std::unique_ptr<char[]>> txn_before_;
   std::set<PageId> txn_dirtied_;
+  // A page was dirtied outside a transaction since the last checkpoint.
+  bool unlogged_writes_ = true;
+  // A commit of the open transaction failed after appending to the WAL.
+  // Its records stay queued there and may still reach the log, so the
+  // retry logs every dirtied page whole: ranges diffed against the same
+  // before-images would not undo what the failed attempt's ranges set.
+  bool txn_retry_ = false;
 };
 
 }  // namespace fuzzymatch

@@ -147,7 +147,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     FM_ASSIGN_OR_RETURN(
         db->wal_,
         Wal::Open(WalPathFor(options.path), db->db_id_, start_lsn,
-                  WalOptions{options.wal_fsync, options.wal_group_window_us}));
+                  WalOptions{options.wal_fsync}));
     db->pool_->SetWal(db->wal_.get());
     db->checkpoint_lsn_ = start_lsn;
     // Re-establish the invariant `catalog checkpoint_lsn == log start`:
@@ -390,6 +390,7 @@ Status Database::Checkpoint() {
     // empty log whose start matches the new catalog checkpoint LSN.
     FM_RETURN_IF_ERROR(wal_->Truncate(ckpt_lsn));
   }
+  pool_->MarkCheckpointed();
   return Status::OK();
 }
 

@@ -38,8 +38,6 @@ struct DatabaseOptions {
   bool enable_wal = true;
   /// When the log fsyncs (the `--wal-fsync` server flag).
   WalFsyncMode wal_fsync = WalFsyncMode::kGroup;
-  /// Group-commit accumulation window, microseconds.
-  uint32_t wal_group_window_us = 100;
 };
 
 /// One storage namespace.

@@ -3,12 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <map>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -127,12 +126,22 @@ uint32_t Crc32(const char* data, size_t len) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+void PutU16(std::string* out, uint16_t v) {
+  out->append(reinterpret_cast<const char*>(&v), 2);
+}
+
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), 4);
 }
 
 void PutU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), 8);
+}
+
+uint16_t ReadU16(const char* p) {
+  uint16_t v;
+  std::memcpy(&v, p, 2);
+  return v;
 }
 
 uint32_t ReadU32(const char* p) {
@@ -147,10 +156,40 @@ uint64_t ReadU64(const char* p) {
   return v;
 }
 
-// Record payload sizes: type(1) + lsn(8) + body.
-constexpr size_t kImagePayloadSize = 1 + 8 + 4 + kPageSize;
+// Record payload sizes: type(1) + lsn(8) + page id(4) + body. A ranges
+// body is a sequence of offset(2) + length(2) + bytes, smaller than a page.
 constexpr size_t kCommitPayloadSize = 1 + 8 + 4;
+constexpr size_t kImagePayloadSize = kCommitPayloadSize + kPageSize;
+constexpr size_t kRangeHeaderSize = 4;
 constexpr size_t kFrameOverhead = 8;  // crc(4) + len(4)
+
+// Whether `body` is a well-formed, non-empty ranges body.
+bool ValidRanges(const char* body, size_t len) {
+  if (len == 0) return false;
+  size_t pos = 0;
+  while (pos < len) {
+    if (len - pos < kRangeHeaderSize) return false;
+    const size_t offset = ReadU16(body + pos);
+    const size_t length = ReadU16(body + pos + 2);
+    pos += kRangeHeaderSize;
+    if (length == 0 || offset + length > kPageSize || len - pos < length) {
+      return false;
+    }
+    pos += length;
+  }
+  return true;
+}
+
+// Copies a validated ranges body onto `page`.
+void ApplyRanges(const char* body, size_t len, char* page) {
+  for (size_t pos = 0; pos < len;) {
+    const size_t offset = ReadU16(body + pos);
+    const size_t length = ReadU16(body + pos + 2);
+    pos += kRangeHeaderSize;
+    std::memcpy(page + offset, body + pos, length);
+    pos += length;
+  }
+}
 
 std::string EncodeHeader(uint64_t db_id, uint64_t start_lsn) {
   std::string h;
@@ -164,18 +203,47 @@ std::string EncodeHeader(uint64_t db_id, uint64_t start_lsn) {
 }  // namespace
 
 Result<WalFsyncMode> ParseWalFsyncMode(std::string_view s) {
-  if (s == "always") return WalFsyncMode::kAlways;
   if (s == "group") return WalFsyncMode::kGroup;
   if (s == "never") return WalFsyncMode::kNever;
   return Status::InvalidArgument(
-      StringPrintf("bad wal fsync mode '%.*s' (always|group|never)",
+      StringPrintf("bad wal fsync mode '%.*s' (group|never)",
                    static_cast<int>(s.size()), s.data()));
+}
+
+std::vector<WalRange> DiffPage(const char* before, const char* after) {
+  // Word-wise scan for runs of differing words, each trimmed to the
+  // exact differing bytes at its ends.
+  constexpr size_t kWord = 8;
+  std::vector<WalRange> ranges;
+  for (size_t w = 0; w < kPageSize;) {
+    if (std::memcmp(before + w, after + w, kWord) == 0) {
+      w += kWord;
+      continue;
+    }
+    size_t run_end = w + kWord;
+    while (run_end < kPageSize &&
+           std::memcmp(before + run_end, after + run_end, kWord) != 0) {
+      run_end += kWord;
+    }
+    size_t begin = w;
+    while (before[begin] == after[begin]) ++begin;
+    size_t end = run_end;
+    while (before[end - 1] == after[end - 1]) --end;
+    if (!ranges.empty() &&
+        begin - (ranges.back().offset + ranges.back().length) <=
+            kRangeHeaderSize) {
+      ranges.back().length = static_cast<uint16_t>(end - ranges.back().offset);
+    } else {
+      ranges.push_back(WalRange{static_cast<uint16_t>(begin),
+                                static_cast<uint16_t>(end - begin)});
+    }
+    w = run_end;
+  }
+  return ranges;
 }
 
 std::string_view WalFsyncModeName(WalFsyncMode mode) {
   switch (mode) {
-    case WalFsyncMode::kAlways:
-      return "always";
     case WalFsyncMode::kGroup:
       return "group";
     case WalFsyncMode::kNever:
@@ -225,18 +293,27 @@ uint64_t Wal::flushed_lsn() const {
 }
 
 void Wal::AppendRecordLocked_(uint8_t type, uint64_t lsn, PageId page_id,
-                              const char* image) {
-  std::string payload;
-  payload.reserve(type == kRecCommit ? kCommitPayloadSize : kImagePayloadSize);
-  payload.push_back(static_cast<char>(type));
-  PutU64(&payload, lsn);
-  PutU32(&payload, page_id);
-  if (type != kRecCommit) {
-    payload.append(image, kPageSize);
+                              const char* image,
+                              const std::vector<WalRange>* ranges) {
+  // The frame is built in place; crc and len are patched in at the end.
+  const size_t frame = buf_.size();
+  buf_.append(kFrameOverhead, '\0');
+  buf_.push_back(static_cast<char>(type));
+  PutU64(&buf_, lsn);
+  PutU32(&buf_, page_id);
+  if (type == kRecPageRanges) {
+    for (const WalRange& r : *ranges) {
+      PutU16(&buf_, r.offset);
+      PutU16(&buf_, r.length);
+      buf_.append(image + r.offset, r.length);
+    }
+  } else if (type != kRecCommit) {
+    buf_.append(image, kPageSize);
   }
-  PutU32(&buf_, Crc32(payload.data(), payload.size()));
-  PutU32(&buf_, static_cast<uint32_t>(payload.size()));
-  buf_.append(payload);
+  const auto len = static_cast<uint32_t>(buf_.size() - frame - kFrameOverhead);
+  const uint32_t crc = Crc32(buf_.data() + frame + kFrameOverhead, len);
+  std::memcpy(buf_.data() + frame, &crc, 4);
+  std::memcpy(buf_.data() + frame + 4, &len, 4);
   appended_lsn_ = lsn;
   AppendsCounter().Increment();
 }
@@ -301,16 +378,9 @@ Status Wal::WaitDurable_(std::unique_lock<std::mutex>& lock, uint64_t lsn,
       cv_.wait(lock);
       continue;
     }
-    // Become the leader. In group mode, wait a short window with the lock
-    // dropped so concurrent committers can append into the batch.
+    // Become the leader: take everything appended so far, then write it
+    // with the lock dropped so later committers can append meanwhile.
     flushing_ = true;
-    if (options_.fsync_mode == WalFsyncMode::kGroup &&
-        options_.group_window_us > 0) {
-      lock.unlock();
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.group_window_us));
-      lock.lock();
-    }
     std::string batch;
     batch.swap(buf_);
     const uint64_t target = appended_lsn_;
@@ -341,15 +411,20 @@ Status Wal::WaitDurable_(std::unique_lock<std::mutex>& lock, uint64_t lsn,
   return Status::OK();
 }
 
-Result<uint64_t> Wal::CommitPages(
-    const std::vector<std::pair<PageId, const char*>>& pages) {
+Result<uint64_t> Wal::CommitPages(const std::vector<WalPageRedo>& pages) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (const auto& [page_id, image] : pages) {
-    AppendRecordLocked_(kRecPageImage, next_lsn_++, page_id, image);
+  for (const WalPageRedo& page : pages) {
+    size_t range_bytes = 0;
+    for (const WalRange& r : page.ranges) {
+      range_bytes += kRangeHeaderSize + r.length;
+    }
+    const bool whole = page.ranges.empty() || range_bytes >= kPageSize;
+    AppendRecordLocked_(whole ? kRecPageImage : kRecPageRanges, next_lsn_++,
+                        page.page_id, page.image, &page.ranges);
   }
   const uint64_t commit_lsn = next_lsn_++;
   AppendRecordLocked_(kRecCommit, commit_lsn,
-                      static_cast<PageId>(pages.size()), nullptr);
+                      static_cast<PageId>(pages.size()), nullptr, nullptr);
   ++pending_commits_;
   FM_RETURN_IF_ERROR(WaitDurable_(lock, commit_lsn, /*force_fsync=*/false));
   CommitsCounter().Increment();
@@ -359,7 +434,7 @@ Result<uint64_t> Wal::CommitPages(
 Status Wal::AppendUndo(PageId id, const char* image) {
   std::unique_lock<std::mutex> lock(mu_);
   const uint64_t lsn = next_lsn_++;
-  AppendRecordLocked_(kRecUndoImage, lsn, id, image);
+  AppendRecordLocked_(kRecUndoImage, lsn, id, image, nullptr);
   UndoRecordsCounter().Increment();
   // A steal must be durable in the log before the page hits the main
   // file, whatever the fsync mode — this is the no-force/steal contract.
@@ -451,8 +526,10 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& path, uint64_t db_id,
   }
   ::close(fd);
 
+  const uint32_t version =
+      content.size() < kHeaderSize ? 0 : ReadU32(content.data() + 4);
   if (content.size() < kHeaderSize || ReadU32(content.data()) != kMagic ||
-      ReadU32(content.data() + 4) != kVersion) {
+      (version != 1 && version != kVersion)) {
     if (!content.empty()) {
       FM_LOG(Warning) << "wal " << path << ": malformed header, ignoring";
     }
@@ -468,16 +545,17 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& path, uint64_t db_id,
   }
   stats.identity_match = true;
 
-  // Scan: collect the last committed after-image and the newest
-  // before-image per page. A CRC or framing failure is a torn tail —
-  // everything from there on was never acknowledged.
-  struct Image {
-    uint64_t lsn = 0;
-    const char* data = nullptr;
+  // Scan: the committed redo records and the undo images, in log order.
+  // A CRC or framing failure is a torn tail — everything from there on
+  // was never acknowledged.
+  struct Op {
+    PageId page_id;
+    uint8_t type;
+    const char* body;
+    uint32_t body_len;
   };
-  std::map<PageId, Image> committed;
-  std::map<PageId, Image> undo;
-  std::vector<std::pair<PageId, Image>> pending;  // current txn's images
+  std::vector<Op> ops;
+  std::vector<Op> pending;  // the current transaction's redo records
   uint64_t last_lsn = log_start_lsn == 0 ? 0 : log_start_lsn - 1;
   size_t off = kHeaderSize;
   for (;;) {
@@ -500,11 +578,14 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& path, uint64_t db_id,
     }
     const uint8_t type = static_cast<uint8_t>(payload[0]);
     const uint64_t lsn = ReadU64(payload + 1);
-    if (lsn <= last_lsn ||
-        (type != kRecCommit && len != kImagePayloadSize) ||
-        (type == kRecCommit && len != kCommitPayloadSize) ||
-        (type != kRecPageImage && type != kRecUndoImage &&
-         type != kRecCommit)) {
+    const char* body = payload + kCommitPayloadSize;
+    const uint32_t body_len = len - kCommitPayloadSize;
+    const bool well_formed =
+        (type == kRecCommit && body_len == 0) ||
+        ((type == kRecPageImage || type == kRecUndoImage) &&
+         body_len == kPageSize) ||
+        (type == kRecPageRanges && ValidRanges(body, body_len));
+    if (lsn <= last_lsn || !well_formed) {
       stats.torn_bytes = content.size() - off;
       break;
     }
@@ -513,44 +594,58 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& path, uint64_t db_id,
     const PageId page_id = ReadU32(payload + 9);
     switch (type) {
       case kRecPageImage:
-        pending.emplace_back(page_id, Image{lsn, payload + 13});
+      case kRecPageRanges:
+        pending.push_back(Op{page_id, type, body, body_len});
         break;
-      case kRecUndoImage: {
-        Image& u = undo[page_id];
-        if (lsn > u.lsn) u = Image{lsn, payload + 13};
+      case kRecUndoImage:
+        ops.push_back(Op{page_id, type, body, body_len});
         break;
-      }
       case kRecCommit:
-        for (const auto& [pid, img] : pending) {
-          committed[pid] = img;
-        }
+        ops.insert(ops.end(), pending.begin(), pending.end());
         pending.clear();
         ++stats.commits_applied;
         break;
     }
     off += kFrameOverhead + len;
   }
-  // Images from a transaction whose commit record is missing are not
+  // Records of a transaction whose commit record is missing are not
   // applied; `pending` is dropped here.
 
-  // Redo the committed after-images (unconditionally — see the file
-  // comment in wal.h), then put back before-images of steals no committed
-  // image supersedes.
-  for (const auto& [pid, img] : committed) {
-    FM_FAIL_POINT("wal.replay");
-    FM_RETURN_IF_ERROR(pager->EnsureCapacity(pid));
-    FM_RETURN_IF_ERROR(pager->WritePage(pid, img.data));
-    ++stats.pages_applied;
-  }
-  for (const auto& [pid, img] : undo) {
-    const auto it = committed.find(pid);
-    if (it != committed.end() && it->second.lsn > img.lsn) {
-      continue;  // a later committed image wins
+  // Apply each page's records in log order onto the page as the main
+  // file holds it (zeros past its end), then write the page once.
+  std::stable_sort(ops.begin(), ops.end(), [](const Op& a, const Op& b) {
+    return a.page_id < b.page_id;
+  });
+  std::vector<char> page(kPageSize);
+  for (size_t i = 0; i < ops.size();) {
+    const PageId pid = ops[i].page_id;
+    if (ops[i].type == kRecPageRanges) {
+      if (pid < pager->page_count()) {
+        FM_RETURN_IF_ERROR(pager->ReadPage(pid, page.data()));
+      } else {
+        std::fill(page.begin(), page.end(), '\0');
+      }
+    }
+    bool redone = false;
+    for (; i < ops.size() && ops[i].page_id == pid; ++i) {
+      const Op& op = ops[i];
+      if (op.type == kRecPageRanges) {
+        ApplyRanges(op.body, op.body_len, page.data());
+      } else {
+        std::memcpy(page.data(), op.body, kPageSize);
+      }
+      if (op.type == kRecUndoImage) {
+        ++stats.undo_applied;
+      } else {
+        redone = true;
+      }
     }
     FM_FAIL_POINT("wal.replay");
     FM_RETURN_IF_ERROR(pager->EnsureCapacity(pid));
-    FM_RETURN_IF_ERROR(pager->WritePage(pid, img.data));
-    ++stats.undo_applied;
+    FM_RETURN_IF_ERROR(pager->WritePage(pid, page.data()));
+    if (redone) {
+      ++stats.pages_applied;
+    }
   }
   stats.next_lsn = last_lsn + 1;
   stats.seconds =

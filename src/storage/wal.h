@@ -2,24 +2,27 @@
 // maintenance (IndexTuple/UnindexTuple and their catalog side effects).
 //
 // The log is a single append-only file next to the database file
-// (`<db>.wal`). Records are full page images framed with a CRC and
-// stamped with monotonically increasing LSNs; a transaction becomes
-// durable when its page images plus one commit record reach the platter.
-// Group commit batches concurrent committers behind a single fsync: the
-// first committer to find no flush in flight becomes the leader, swaps
-// the append buffer out, writes and fsyncs it while the lock is dropped,
-// and wakes every follower whose commit LSN the flush covered.
+// (`<db>.wal`). Records are framed with a CRC and stamped with
+// monotonically increasing LSNs; a transaction becomes durable when its redo records plus one
+// commit record reach the platter. Group commit batches committers behind
+// a single fsync: the first committer to find no flush in flight becomes
+// the leader, swaps the append buffer out, writes and fsyncs it while the
+// lock is dropped, and wakes every follower whose commit LSN the flush
+// covered. Committers that arrive during a flush share the next one.
 //
-// Two record flavors beyond commit:
-//  - page image (redo): the after-image of a page dirtied by a committed
-//    maintenance transaction. Applied unconditionally during replay: the
-//    record's LSN orders images within the log, and pages themselves
-//    carry no LSN (a torn page could not be trusted to report one).
+// Record flavors beyond commit:
+//  - page image (redo): the whole after-image of a page dirtied by a
+//    committed maintenance transaction;
+//  - page ranges (redo): the byte ranges of a page that the transaction
+//    changed, each as (offset, length, bytes). A range carries absolute
+//    bytes, not a delta, so applying it is idempotent;
 //  - undo image: the before-image of a transaction-dirty page that the
 //    buffer pool must steal (evict to the main file) before its
-//    transaction commits. Replay restores the before-image unless a later
-//    committed after-image supersedes it, so an uncommitted steal can
-//    never surface after a crash.
+//    transaction commits.
+// Replay applies committed redo records and undo images in log order onto
+// each page as the main file holds it. Pages carry no LSN (a torn page
+// could not be trusted to report one); in-order application converges
+// from any version of the page the file may hold (DESIGN.md 5j).
 //
 // Identity guard: the log header carries the database id and the
 // checkpoint LSN it was truncated at. Replay applies the log only when
@@ -39,7 +42,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -51,25 +53,40 @@ namespace fuzzymatch {
 
 /// When the log fsyncs (the `--wal-fsync` server flag).
 enum class WalFsyncMode : uint8_t {
-  /// Every flush fsyncs and commits never share one (group window 0).
-  kAlways = 0,
-  /// Every flush fsyncs; the leader waits a short window first so
-  /// concurrent committers share the fsync. The default.
+  /// Every flush fsyncs; committers that arrive while a flush is in
+  /// progress share the next one. The default.
   kGroup = 1,
   /// Writes without fsync — commits can be lost to an OS crash (not a
   /// process crash). For benchmarks and bulk loads only.
   kNever = 2,
 };
 
-/// Parses "always" | "group" | "never".
+/// Parses "group" | "never".
 Result<WalFsyncMode> ParseWalFsyncMode(std::string_view s);
 std::string_view WalFsyncModeName(WalFsyncMode mode);
 
 struct WalOptions {
   WalFsyncMode fsync_mode = WalFsyncMode::kGroup;
-  /// Accumulation window the group-commit leader waits before flushing,
-  /// in microseconds. Only meaningful in kGroup mode.
-  uint32_t group_window_us = 100;
+};
+
+/// Bytes [offset, offset + length) of a page.
+struct WalRange {
+  uint16_t offset = 0;
+  uint16_t length = 0;
+};
+
+/// The ranges where `after` differs from `before` (kPageSize bytes each),
+/// ascending and disjoint. Ranges closer than a range header are merged.
+std::vector<WalRange> DiffPage(const char* before, const char* after);
+
+/// One page's redo in a commit.
+struct WalPageRedo {
+  PageId page_id = kInvalidPageId;
+  /// The page's after-image, kPageSize bytes.
+  const char* image = nullptr;
+  /// The ranges of `image` to log (DiffPage against the before-image);
+  /// empty logs the whole image.
+  std::vector<WalRange> ranges = {};
 };
 
 /// One database's write-ahead log. Thread-safe: any number of threads may
@@ -111,12 +128,12 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Commits one maintenance transaction: appends the images plus a
-  /// commit record, each with a fresh LSN, and blocks until the batch is
-  /// durable (per the fsync mode). `pages` pairs a page id with its
-  /// kPageSize after-image, logged byte for byte. Returns the commit LSN.
-  Result<uint64_t> CommitPages(
-      const std::vector<std::pair<PageId, const char*>>& pages);
+  /// Commits one maintenance transaction: appends one redo record per
+  /// page plus a commit record, each with a fresh LSN, and blocks until
+  /// the batch is durable (per the fsync mode). A page whose ranges would
+  /// not be smaller than the page is logged as its whole image. Returns
+  /// the commit LSN.
+  Result<uint64_t> CommitPages(const std::vector<WalPageRedo>& pages);
 
   /// Appends a before-image record and blocks until it is durable. Must
   /// be called before a transaction-dirty page is written to the main
@@ -136,20 +153,25 @@ class Wal {
   uint64_t flushed_lsn() const;
   const std::string& path() const { return path_; }
 
-  /// On-disk framing constants, shared with tests.
+  /// On-disk framing constants, shared with tests. Version 2 added page
+  /// ranges; replay reads version 1 logs too.
   static constexpr uint32_t kMagic = 0x4c574d46;  // "FMWL"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
   static constexpr size_t kHeaderSize = 24;  // magic, version, db_id, lsn
   static constexpr uint8_t kRecPageImage = 1;
   static constexpr uint8_t kRecUndoImage = 2;
   static constexpr uint8_t kRecCommit = 3;
+  static constexpr uint8_t kRecPageRanges = 4;
 
  private:
   Wal() = default;
 
-  /// Appends one framed record to the in-memory buffer. Caller holds mu_.
+  /// Appends one framed record of `type` to the in-memory buffer: the
+  /// given ranges of `image` for kRecPageRanges, all of it for the image
+  /// types. Caller holds mu_.
   void AppendRecordLocked_(uint8_t type, uint64_t lsn, PageId page_id,
-                           const char* image);
+                           const char* image,
+                           const std::vector<WalRange>* ranges);
 
   /// Blocks until `lsn` is durable, becoming the flush leader when no
   /// flush is in flight. Caller holds `lock`.

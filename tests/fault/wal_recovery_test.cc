@@ -36,6 +36,7 @@
 #include "fault/faulty_env.h"
 #include "gen/customer_gen.h"
 #include "match/naive_matcher.h"
+#include "obs/metrics.h"
 #include "storage/database.h"
 
 namespace fuzzymatch {
@@ -423,6 +424,80 @@ TEST_F(WalRecoveryTest, RecoveryIsIdempotentAndByteIdentical) {
   RemoveWithWal(crashed);
   RemoveWithWal(a);
   RemoveWithWal(b);
+}
+
+TEST_F(WalRecoveryTest, DurableDeleteLogsTheBytesItChanged) {
+  // A delete rewrites a few hundred bytes on each page it touches; its
+  // commit must log those bytes, not every touched page whole.
+  const std::string work = FreshWorkCopy("bytes");
+  DatabaseOptions options;
+  options.path = work;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto matcher = FuzzyMatcher::Open(db->get(), "customers", kStrategy);
+  ASSERT_TRUE(matcher.ok()) << matcher.status();
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto value = [&](const char* name) {
+    return registry.GetCounter(name)->value();
+  };
+  const uint64_t bytes0 = value("wal.bytes_written");
+  const uint64_t records0 = value("wal.appends");
+  const uint64_t commits0 = value("wal.commits");
+  ASSERT_TRUE((*matcher)->RemoveReferenceTuple(5).ok());
+  ASSERT_EQ(value("wal.commits") - commits0, 1u);
+  const uint64_t pages = value("wal.appends") - records0 - 1;
+  ASSERT_GT(pages, 0u);
+  EXPECT_LT(value("wal.bytes_written") - bytes0, pages * kPageSize / 4)
+      << pages << " pages committed";
+  matcher->reset();
+  db->reset();
+  RemoveWithWal(work);
+}
+
+TEST_F(WalRecoveryTest, FirstStartBuildLogsRangesOnceCheckpointed) {
+  // fuzzymatch_server's first start on a fresh --db: load, build, then
+  // checkpoint. The load and the build write pages outside the log, so a
+  // commit before that checkpoint must log its pages whole; after it, a
+  // delete logs only the bytes it changed.
+  const std::string path = TempPath("first_start");
+  RemoveWithWal(path);
+  DatabaseOptions options;
+  options.path = path;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto table =
+      (*db)->CreateTable("customers", CustomerGenerator::CustomerSchema());
+  ASSERT_TRUE(table.ok()) << table.status();
+  CustomerGenOptions gen_options;
+  gen_options.num_tuples = kSeedTuples;
+  ASSERT_TRUE(CustomerGenerator(gen_options).Populate(*table).ok());
+  auto matcher = FuzzyMatcher::Build(db->get(), "customers", TestConfig());
+  ASSERT_TRUE(matcher.ok()) << matcher.status();
+
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto value = [&](const char* name) {
+    return registry.GetCounter(name)->value();
+  };
+  // Returns {pages committed, record bytes logged} of one delete.
+  const auto remove = [&](Tid tid) {
+    const uint64_t bytes0 = value("wal.bytes_written");
+    const uint64_t records0 = value("wal.appends");
+    EXPECT_TRUE((*matcher)->RemoveReferenceTuple(tid).ok());
+    return std::make_pair(value("wal.appends") - records0 - 1,
+                          value("wal.bytes_written") - bytes0);
+  };
+  const auto [whole_pages, whole_bytes] = remove(5);
+  ASSERT_GT(whole_pages, 0u);
+  EXPECT_GT(whole_bytes, whole_pages * kPageSize)
+      << "a commit before the first checkpoint logged ranges";
+
+  ASSERT_TRUE((*db)->Checkpoint().ok());
+  const auto [pages, bytes] = remove(6);
+  ASSERT_GT(pages, 0u);
+  EXPECT_LT(bytes, pages * kPageSize / 4) << pages << " pages committed";
+  matcher->reset();
+  db->reset();
+  RemoveWithWal(path);
 }
 
 TEST_F(WalRecoveryTest, OpenSweepsOrphanSpillFilesAndShadowIndexes) {

@@ -168,6 +168,17 @@ TEST_F(EtiMatcherTest, TopKOrderingAndThreshold) {
   EXPECT_LE(strict_matches->size(), matches->size());
 }
 
+TEST_F(EtiMatcherTest, KZeroIsInvalidArgument) {
+  // The OSC test reads the K-th best score, top_scores.score(k - 1).
+  const BuiltEti built = BuildEti(2, false);
+  MatcherOptions options;
+  options.k = 0;
+  const EtiMatcher matcher(ref_, &built.eti, &built.weights, options);
+  auto row = ref_->Get(42);
+  ASSERT_TRUE(row.ok());
+  EXPECT_TRUE(matcher.FindMatches(*row).status().IsInvalidArgument());
+}
+
 TEST_F(EtiMatcherTest, EmptyAndDegenerateInputs) {
   const BuiltEti built = BuildEti(2, false);
   const EtiMatcher matcher(ref_, &built.eti, &built.weights,

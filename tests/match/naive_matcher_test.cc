@@ -124,6 +124,20 @@ TEST_F(NaiveMatcherTest, TopKReturnsKSortedMatches) {
   EXPECT_EQ((*matches)[0].tid, 0u);
 }
 
+TEST_F(NaiveMatcherTest, KZeroIsInvalidArgument) {
+  MatcherOptions options;
+  options.k = 0;
+  NaiveMatcher matcher(ref_, weights_.get(),
+                       NaiveMatcher::SimilarityKind::kFms, options);
+  ASSERT_TRUE(matcher.Prepare().ok());
+  EXPECT_TRUE(matcher.FindMatches(Row{std::string("Boeing Company"),
+                                      std::string("Seattle"),
+                                      std::string("WA"),
+                                      std::string("98004")})
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST_F(NaiveMatcherTest, MinSimilarityFilters) {
   MatcherOptions options;
   options.k = 3;
@@ -197,6 +211,11 @@ TEST(TopKCollectorTest, KLargerThanTheOffersReturnsThemAll) {
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0], (Match{1, 0.9}));
   EXPECT_EQ(top[1], (Match{2, 0.3}));
+}
+
+TEST(TopKCollectorTest, RefusesKZero) {
+  // Offer and KthBest would read the front of an empty heap.
+  EXPECT_DEATH({ TopKCollector collector(0, 0.0); }, "K >= 1");
 }
 
 TEST(TopKCollectorTest, TruncatesToK) {

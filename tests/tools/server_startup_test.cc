@@ -123,6 +123,18 @@ TEST(ServerStartupTest, RemovedFlagsAreRejected) {
   std::filesystem::remove(csv);
 }
 
+TEST(ServerStartupTest, RemovedWalFsyncModeIsRejected) {
+  // `always` differed from `group` only by the group-commit sleep, which
+  // is gone; the value must fail rather than fall back silently.
+  const std::string csv = WriteTinyCsv();
+  const RunResult run =
+      RunServer("--ref " + csv + " --wal-fsync always --port 0");
+  EXPECT_EQ(run.exit_code, 1);
+  ExpectOneLineDiagnostic(run, "bad wal fsync mode 'always' (group|never)");
+  EXPECT_EQ(run.output.find('\n'), run.output.size() - 1) << run.output;
+  std::filesystem::remove(csv);
+}
+
 TEST(ServerStartupTest, CliRejectsRemovedFlags) {
   const std::string csv = WriteTinyCsv();
   const std::string db = csv + ".fmdb";

@@ -13,7 +13,8 @@
 #                          # shapes, slow-query capture via an injected
 #                          # sleep, and the tracing-overhead budget
 #   tools/ci.sh buildcheck # parallel ETI build determinism: 1-thread vs
-#                          # 4-thread builds must be byte-identical
+#                          # 4-thread builds must be byte-identical but
+#                          # for the per-file random db_id
 #   tools/ci.sh lookupcheck # posting-decode kernels (DESIGN.md 5i): match
 #                          # output byte-identical under
 #                          # FM_SIMD_LEVEL=scalar and the default kernel,
@@ -270,8 +271,11 @@ run_buildcheck() {
         --build-threads 1 --sort-budget-kb 256
   "$cli" build --ref "$tmp/ref.csv" --db "$tmp/parallel.fmdb" --tokens \
         --build-threads 4 --sort-budget-kb 256
-  cmp "$tmp/serial.fmdb" "$tmp/parallel.fmdb"
-  echo "[ci] ETI build byte-identical with 1 and 4 threads"
+  # Bytes 25-32 of page 0 hold the catalog's db_id, minted at random per
+  # file for the WAL identity guard; every other byte must match.
+  cmp -n 24 "$tmp/serial.fmdb" "$tmp/parallel.fmdb"
+  cmp -i 32 "$tmp/serial.fmdb" "$tmp/parallel.fmdb"
+  echo "[ci] ETI build byte-identical with 1 and 4 threads (db_id aside)"
   local leftovers
   leftovers="$(find "$tmp" \( -name 'fm_sort_run_*' -o -name 'fm_spill_probe_*' \))"
   if [ -n "$leftovers" ]; then
@@ -290,7 +294,8 @@ run_buildcheck() {
 # unit suite and the online-rebuild swap-under-load suite, all under
 # AddressSanitizer so recovery and rollback paths are leak/UB-checked.
 # A Release bench_wal run then archives the wal.* counter family plus
-# fsync-mode throughput and replay-speed gauges under bench_results/.
+# group/never fsync-mode throughput and replay-speed gauges under
+# bench_results/.
 run_walcheck() {
   echo "=== [ci] walcheck: WAL kill-loop + recovery oracle + metrics ==="
   cmake -B build-ci-fault -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -313,7 +318,6 @@ names = set(metrics["counters"]) | set(metrics["gauges"]) \
         | set(metrics["histograms"])
 for want in ("wal.commits", "wal.fsyncs", "wal.bytes_written",
              "wal.replay_pages", "wal.truncates",
-             "bench_wal.maint_ops_per_s_always",
              "bench_wal.maint_ops_per_s_group",
              "bench_wal.maint_ops_per_s_never",
              "bench_wal.replay_seconds"):
